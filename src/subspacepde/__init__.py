@@ -57,9 +57,7 @@ from .solver import (
     SamplingConfig,
     SolveReport,
     evaluate_solution,
-    solve_linear,
-    solve_newton,
-    solve_picard,
+    solve,
 )
 from .training import TrainingConfig, loss_gradient, residual_loss, train_subdomain
 
@@ -105,10 +103,8 @@ __all__ = [
     "sample_boundary",
     "sample_interface",
     "sample_interior",
+    "solve",
     "solve_least_squares",
-    "solve_linear",
-    "solve_newton",
-    "solve_picard",
     "train_subdomain",
 ]
 

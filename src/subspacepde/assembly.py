@@ -9,6 +9,16 @@ order.  The system is solved in the minimum-norm least-squares sense with
 singular values below 1e-12 of the largest truncated; neural bases are
 often nearly dependent, so the truncation is what keeps the solve stable.
 
+Nonlinear problems use one linearization of the PDE rows around the
+current iterate u: the nonlinear term N moves to the right-hand side at
+its current value, and each slot alpha listed as ``live`` (u or one of its
+derivatives) keeps dN/d(alpha) in the matrix, with dN/d(alpha) * u_alpha
+added back to the right-hand side.  Picard keeps live the derivatives the
+term reads, as lagged coefficients (freezing all of u u_x makes the sweep
+repel); Newton keeps every partial live, which poses the Jacobian rows for
+the updated coefficients rather than for a correction, whose null-space
+part would pile up in the iterate under the truncated solve.
+
 Assembly consumes `BasisEval` objects, so any provider works: the test
 suite injects polynomial bases to validate the assembled equations
 independently of any network.
@@ -16,8 +26,7 @@ independently of any network.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,10 +59,6 @@ class GlobalIndexing:
             raise IndexError(f"subdomain id {subdomain} out of range")
         return subdomain * self.block_size
 
-    def col_slice(self, subdomain: int) -> slice:
-        off = self.col_offset(subdomain)
-        return slice(off, off + self.block_size)
-
 
 @dataclass
 class _Piece:
@@ -76,7 +81,6 @@ class RowBlock:
     n_rows: int
     rhs: Array
     pieces: list[_Piece]
-    meta: dict = field(default_factory=dict)
 
     def to_dense(self) -> Array:
         out = np.zeros((self.n_rows, self.width))
@@ -94,120 +98,41 @@ def assemble_pde_rows(
     subdomain_id: int,
     points: PointSet | Array,
     basis: BasisEval,
-    frozen_nonlinear: Array | None = None,
+    u: Array | None = None,
+    u_derivs: Mapping[MultiIndex, Array] | None = None,
+    live: Sequence[MultiIndex] = (),
 ) -> RowBlock:
     """Operator rows for one subdomain: sum of coefficient x basis derivative.
 
-    ``frozen_nonlinear`` holds per-point values of the nonlinear term frozen
-    at a previous iterate; they move to the right-hand side.  Linear
-    problems pass nothing.
+    Weights start as the linear operator's coefficients and the right-hand
+    side as the source.  With an iterate ``(u, u_derivs)`` the nonlinear
+    term N moves to the right-hand side at its current value, and each
+    slot alpha in ``live`` adds dN/d(alpha) to the weight of alpha and
+    dN/d(alpha) * u_alpha to the right-hand side.  Linear problems pass no
+    iterate.
     """
     pts = points.points if isinstance(points, PointSet) else np.atleast_2d(points)
     n = pts.shape[0]
     zero = (0,) * problem.dim
-    local = np.zeros((n, basis.num_basis))
-    for alpha, coef in problem.linear_row_weights(pts).items():
-        block = basis.values if alpha == zero else basis.deriv(alpha)
-        local += coef[:, None] * block
+    weights = problem.linear_row_weights(pts)
     rhs = problem.source(pts).astype(float, copy=True)
-    if frozen_nonlinear is not None:
-        rhs -= frozen_nonlinear
-    return RowBlock(
-        kind="pde",
-        width=indexing.width,
-        n_rows=n,
-        rhs=rhs,
-        pieces=[_Piece(0, indexing.col_offset(subdomain_id), local)],
-        meta={"subdomain": subdomain_id},
-    )
-
-
-def assemble_picard_rows(
-    problem: ProblemSpec,
-    indexing: GlobalIndexing,
-    subdomain_id: int,
-    points: PointSet | Array,
-    basis: BasisEval,
-    u: Array,
-    u_derivs: Mapping[MultiIndex, Array],
-) -> RowBlock:
-    """Fixed-point rows with the nonlinear term's coefficients lagged.
-
-    Where the term reads solution derivatives, those slots stay live in the
-    matrix with their partial-derivative coefficients frozen at the current
-    iterate (for advection-type terms this is the classic lagged-velocity
-    sweep); the remaining value dependence moves to the right-hand side.
-    Freezing the whole term instead makes the sweep map repel for
-    quadratic advection, so only value-only terms use that degenerate form
-    (for them this reduces to it exactly, with a constant matrix).
-    """
-    term = problem.nonlinear
-    if term is None:
-        raise ValueError("picard rows need a problem with a nonlinear term")
-    pts = points.points if isinstance(points, PointSet) else np.atleast_2d(points)
-    n = pts.shape[0]
-    zero = (0,) * problem.dim
+    if u is not None:
+        term = problem.nonlinear
+        rhs -= term.value(pts, u, u_derivs)
+        for alpha in live:
+            partial = term.partials[alpha](pts, u, u_derivs)
+            weights[alpha] = weights[alpha] + partial if alpha in weights else partial
+            rhs += partial * (u if alpha == zero else u_derivs[alpha])
     local = np.zeros((n, basis.num_basis))
-    for alpha, coef in problem.linear_row_weights(pts).items():
-        block = basis.values if alpha == zero else basis.deriv(alpha)
-        local += coef[:, None] * block
-    frozen = term.value(pts, u, u_derivs).astype(float, copy=True)
-    for alpha in term.orders:
-        w = term.partials[alpha](pts, u, u_derivs)
-        local += np.asarray(w)[:, None] * basis.deriv(alpha)
-        frozen -= w * u_derivs[alpha]
-    rhs = problem.source(pts) - frozen
-    return RowBlock(
-        kind="pde",
-        width=indexing.width,
-        n_rows=n,
-        rhs=rhs,
-        pieces=[_Piece(0, indexing.col_offset(subdomain_id), local)],
-        meta={"subdomain": subdomain_id},
-    )
-
-
-def assemble_newton_rows(
-    problem: ProblemSpec,
-    indexing: GlobalIndexing,
-    subdomain_id: int,
-    points: PointSet | Array,
-    basis: BasisEval,
-    u: Array,
-    u_derivs: Mapping[MultiIndex, Array],
-) -> RowBlock:
-    """Newton-linearized operator rows around the current iterate.
-
-    Rows are the Jacobian of the residual in the coefficients: linear terms
-    plus each nonlinear partial times the matching basis derivative block.
-    The system is posed directly for the updated coefficients (the
-    correction form J d = -R is algebraically the same but lets null-space
-    junk pile up in the iterate under a truncated solve), so the right-hand
-    side is the source minus the term's value plus the partials recombined
-    with the current iterate: for quadratic advection this is the classic
-    f + u u_x form.
-    """
-    term = problem.nonlinear
-    if term is None:
-        raise ValueError("newton rows need a problem with a nonlinear term")
-    pts = points.points if isinstance(points, PointSet) else np.atleast_2d(points)
-    n = pts.shape[0]
-    zero = (0,) * problem.dim
-    local = np.zeros((n, basis.num_basis))
-    for alpha, coef in problem.residual_weights(pts, u, u_derivs).items():
+    for alpha, coef in weights.items():
         block = basis.values if alpha == zero else basis.deriv(alpha)
         local += np.asarray(coef)[:, None] * block
-    rhs = problem.source(pts) - term.value(pts, u, u_derivs)
-    for alpha, partial in term.partials.items():
-        slot = u if sum(alpha) == 0 else u_derivs[alpha]
-        rhs += partial(pts, u, u_derivs) * slot
     return RowBlock(
         kind="pde",
         width=indexing.width,
         n_rows=n,
         rhs=rhs,
         pieces=[_Piece(0, indexing.col_offset(subdomain_id), local)],
-        meta={"subdomain": subdomain_id},
     )
 
 
@@ -247,7 +172,6 @@ def assemble_boundary_rows(
         n_rows=n,
         rhs=rhs,
         pieces=pieces,
-        meta={},
     )
 
 
@@ -280,35 +204,20 @@ def assemble_continuity_rows(
         n_rows=orders * n,
         rhs=np.zeros(orders * n),
         pieces=pieces,
-        meta={"interface": (interface.left, interface.right, interface.axis)},
     )
 
 
 @dataclass
 class GlobalSystem:
-    """Assembled rectangular system with its block bookkeeping.
-
-    ``block_slices`` gives each input RowBlock's row range in assembly
-    order, so drivers can refresh right-hand sides or inspect per-block
-    residuals without reassembling.
-    """
+    """Assembled rectangular system over the stacked coefficients."""
 
     matrix: Array
     rhs: Array
     indexing: GlobalIndexing
-    block_slices: list[slice]
-    block_kinds: list[str]
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
-
-    def rows_of_kind(self, kind: str) -> Array:
-        mask = np.zeros(self.matrix.shape[0], dtype=bool)
-        for sl, k in zip(self.block_slices, self.block_kinds):
-            if k == kind:
-                mask[sl] = True
-        return mask
 
 
 _KIND_ORDER = {"pde": 0, "boundary": 1, "continuity": 2}
@@ -317,8 +226,7 @@ _KIND_ORDER = {"pde": 0, "boundary": 1, "continuity": 2}
 def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> GlobalSystem:
     """Stack row blocks into one dense system, PDE, boundary, continuity.
 
-    Within each kind the input order is preserved.  Returns the row range
-    of every input block (in the input's order) alongside the matrix.
+    Within each kind the input order is preserved.
     """
     if not blocks:
         raise ValueError("cannot assemble an empty system")
@@ -334,11 +242,9 @@ def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> Glo
     total_rows = sum(b.n_rows for b in blocks)
     matrix = np.zeros((total_rows, indexing.width))
     rhs = np.empty(total_rows)
-    block_slices: list[slice] = [slice(0, 0)] * len(blocks)
     row = 0
     for i in order:
         block = blocks[i]
-        block_slices[i] = slice(row, row + block.n_rows)
         rhs[row : row + block.n_rows] = block.rhs
         for piece in block.pieces:
             r, c = piece.values.shape
@@ -347,45 +253,22 @@ def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> Glo
                 piece.col_start : piece.col_start + c,
             ] = piece.values
         row += block.n_rows
-    return GlobalSystem(
-        matrix=matrix,
-        rhs=rhs,
-        indexing=indexing,
-        block_slices=block_slices,
-        block_kinds=[b.kind for b in blocks],
-    )
-
-
-def equilibrate_rows(system: GlobalSystem) -> GlobalSystem:
-    """Scale each row (and its right-hand side) to unit 2-norm.
-
-    Off by default; changes the least-squares weighting, kept only as an
-    experimentation flag for badly scaled operators.
-    """
-    norms = np.linalg.norm(system.matrix, axis=1)
-    scale = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
-    return GlobalSystem(
-        matrix=system.matrix * scale[:, None],
-        rhs=system.rhs * scale,
-        indexing=system.indexing,
-        block_slices=system.block_slices,
-        block_kinds=system.block_kinds,
-    )
+    return GlobalSystem(matrix=matrix, rhs=rhs, indexing=indexing)
 
 
 class CachedLstsq:
     """Minimum-norm least squares with a reusable truncated SVD.
 
-    Fixed-point drivers re-solve the same matrix against many right-hand
-    sides; factoring once makes each re-solve a pair of matrix-vector
-    products.
+    Sweeps whose matrix does not change re-solve it against many
+    right-hand sides; factoring once makes each re-solve a pair of
+    matrix-vector products.
     """
 
-    def __init__(self, matrix: Array, rcond: float = RCOND):
+    def __init__(self, matrix: Array):
         if not np.isfinite(matrix).all():
             raise ValueError("system matrix has non-finite entries")
         u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-        keep = s > rcond * s[0] if s.size else np.zeros(0, dtype=bool)
+        keep = s > RCOND * s[0] if s.size else np.zeros(0, dtype=bool)
         self._u = u[:, keep]
         self._inv_s = 1.0 / s[keep]
         self._vt = vt[keep]
@@ -396,33 +279,28 @@ class CachedLstsq:
 
 
 def solve_least_squares(
-    system: GlobalSystem, rcond: float = RCOND
+    system: GlobalSystem, factor: CachedLstsq | None = None
 ) -> tuple[CoefficientVector, float]:
     """Minimum-norm least-squares solution and its residual 2-norm.
 
-    Always the same truncated-SVD path as `CachedLstsq`, so repeated solves
-    of identical matrices return identical coefficients (mixing SVD
-    implementations picks different near-cutoff subspaces, which shows up
-    as noise on the reconstructed solution).
+    ``factor`` is a factorization of ``system.matrix`` to reuse; without
+    one the matrix is factored here.  Always the same truncated-SVD path,
+    so repeated solves of identical matrices return identical coefficients
+    (mixing SVD implementations picks different near-cutoff subspaces,
+    which shows up as noise on the reconstructed solution).
     """
     if not np.isfinite(system.rhs).all():
         raise ValueError("system has non-finite entries")
-    beta = CachedLstsq(system.matrix, rcond).solve(system.rhs)
+    if factor is None:
+        factor = CachedLstsq(system.matrix)
+    beta = factor.solve(system.rhs)
     residual = float(np.linalg.norm(system.matrix @ beta - system.rhs))
     return CoefficientVector(values=beta, block_size=system.indexing.block_size), residual
 
 
 def dump_system(system: GlobalSystem, path) -> None:
-    """Write (matrix, rhs) to ``.npz`` (binary) or ``.csv`` by extension."""
+    """Write (matrix, rhs) to a compressed ``.npz`` file."""
     path = str(path)
-    if path.endswith(".npz"):
-        np.savez_compressed(path, matrix=system.matrix, rhs=system.rhs)
-    elif path.endswith(".csv"):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            ncols = system.matrix.shape[1]
-            writer.writerow([f"a{j}" for j in range(ncols)] + ["rhs"])
-            for row, b in zip(system.matrix, system.rhs):
-                writer.writerow([f"{v:.16e}" for v in row] + [f"{b:.16e}"])
-    else:
-        raise ValueError("system dumps support .npz or .csv paths")
+    if not path.endswith(".npz"):
+        raise ValueError("system dumps support .npz paths only")
+    np.savez_compressed(path, matrix=system.matrix, rhs=system.rhs)

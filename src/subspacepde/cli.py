@@ -11,7 +11,8 @@ Outputs land under the config's ``output_dir``: ``report.json`` and
 0 success, 2 config error, 3 numerical failure.
 
 The ``SUBSPACEPDE_WORKERS`` environment variable sets how many sweep cells
-run concurrently (default 1); aggregation stays in the parent process.
+run concurrently (a positive integer, default 1); aggregation stays in the
+parent process.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, from_dict, load_config
 from .problems import BUILTIN_NAMES, BUILTIN_SUMMARIES, builtin
-from .solver import SolveReport, solve_linear, solve_newton, solve_picard
+from .solver import SolveReport, solve
 from .training import TrainingError
 
 SWEEP_AXES = ("subspace_dim", "subdomains", "hidden_layers", "sampling", "seed")
@@ -45,44 +46,18 @@ def execute(config: RunConfig, write_outputs: bool = True) -> SolveReport:
             log_dir = str(out_dir)
     dump_path = str(out_dir / config.dump_system) if (write_outputs and config.dump_system) else None
 
-    common = dict(
+    report = solve(
+        config.problem,
+        config.partition,
+        config.sampling,
+        config.network,
+        config.training,
+        config.nonlinear,
         init_mode=config.init_mode,
         evaluation=config.evaluation,
         log_dir=log_dir,
         dump_path=dump_path,
     )
-    if config.problem.nonlinear is None:
-        report = solve_linear(
-            config.problem,
-            config.partition,
-            config.sampling,
-            config.network,
-            config.training,
-            row_scaling=config.row_scaling,
-            **common,
-        )
-    elif config.nonlinear is not None and config.nonlinear.method == "newton":
-        report = solve_newton(
-            config.problem,
-            config.partition,
-            config.sampling,
-            config.network,
-            config.training,
-            config.nonlinear,
-            **common,
-        )
-    else:
-        assert config.nonlinear is not None
-        report = solve_picard(
-            config.problem,
-            config.partition,
-            config.sampling,
-            config.network,
-            config.training,
-            config.nonlinear,
-            **common,
-        )
-
     if write_outputs:
         report.save_json(out_dir / "report.json")
         _write_solution_csv(report, out_dir / "solution.csv")
@@ -188,8 +163,20 @@ def _run_sweep_cell(doc: dict) -> dict:
     }
 
 
+def _sweep_workers() -> int:
+    raw = os.environ.get("SUBSPACEPDE_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"SUBSPACEPDE_WORKERS: needs a positive integer, got {raw!r}")
+    return workers
+
+
 def cmd_sweep(args) -> int:
     try:
+        workers = _sweep_workers()
         base = load_config(args.config)
         values = _parse_sweep_values(args.axis, args.values)
         cell_docs = [_apply_sweep_value(base.raw, args.axis, v) for v in values]
@@ -199,7 +186,6 @@ def cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    workers = int(os.environ.get("SUBSPACEPDE_WORKERS", "1"))
     rows = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

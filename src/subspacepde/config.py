@@ -153,8 +153,7 @@ SCHEMA = {
             "properties": {"counts": _COUNTS},
         },
         "output_dir": {"type": "string", "minLength": 1},
-        "dump_system": {"type": "string", "minLength": 1},
-        "row_scaling": {"type": "boolean"},
+        "dump_system": {"type": "string", "pattern": "\\.npz$"},
     },
 }
 
@@ -173,7 +172,6 @@ class RunConfig:
     evaluation: EvaluationSpec | None
     output_dir: str
     dump_system: str | None
-    row_scaling: bool
     training_log: bool
     raw: dict
 
@@ -332,10 +330,6 @@ def from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"evaluation.counts: needs {dim} entries")
         evaluation = EvaluationSpec(counts=tuple(eval_counts))
 
-    row_scaling = doc.get("row_scaling", False)
-    if row_scaling and nonlinear is not None:
-        raise ConfigError("row_scaling: only supported for linear solves")
-
     return RunConfig(
         problem=problem,
         partition=partition_spec,
@@ -347,7 +341,6 @@ def from_dict(doc: dict) -> RunConfig:
         evaluation=evaluation,
         output_dir=doc.get("output_dir", "."),
         dump_system=doc.get("dump_system"),
-        row_scaling=row_scaling,
         training_log=training_doc.get("log", False),
         raw=doc,
     )

@@ -41,18 +41,14 @@ class NetworkConfig:
     input_dim: int
     hidden_widths: tuple[int, ...] = ()
     subspace_dim: int = 100
-    output_dim: int = 1
-    activation: str = "tanh"
     init_range: float = 1.0
     subspace_activation: str = "tanh"
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1 or self.subspace_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim, subspace_dim and output_dim must be >= 1")
+        if self.input_dim < 1 or self.subspace_dim < 1:
+            raise ValueError("input_dim and subspace_dim must be >= 1")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden widths must be >= 1")
-        if self.activation != "tanh":
-            raise ValueError("only tanh hidden activations are supported")
         if self.subspace_activation not in ("tanh", "affine"):
             raise ValueError("subspace_activation must be 'tanh' or 'affine'")
 

@@ -1,5 +1,7 @@
 """Block assembly against hand-computed monomial rows, and the solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,8 @@ from subspacepde.assembly import (
     assemble_boundary_rows,
     assemble_continuity_rows,
     assemble_global,
-    assemble_newton_rows,
     assemble_pde_rows,
     dump_system,
-    equilibrate_rows,
     solve_least_squares,
 )
 from subspacepde.geometry import (
@@ -86,15 +86,18 @@ class TestPdeRows:
         np.testing.assert_allclose(block.rhs, 3.0)
 
     def test_frozen_term_moves_to_rhs(self):
-        problem = helmholtz_like()
+        # with no live slot the whole nonlinear term moves to the right-hand side
+        square = NonlinearTerm(
+            value=lambda pts, u, derivs: u * u,
+            partials={(0,): lambda pts, u, derivs: 2 * u},
+        )
+        problem = dataclasses.replace(helmholtz_like(), nonlinear=square)
         pts = np.array([[0.5], [1.5]])
         ev = monomial_eval(pts, 2, [(2,)])
-        frozen = np.array([0.0, 0.25])
-        with_frozen = assemble_pde_rows(
-            problem, GlobalIndexing(1, 3), 0, pts, ev, frozen_nonlinear=frozen
-        )
+        u = np.array([0.0, 0.5])
+        with_frozen = assemble_pde_rows(problem, GlobalIndexing(1, 3), 0, pts, ev, u, {})
         without = assemble_pde_rows(problem, GlobalIndexing(1, 3), 0, pts, ev)
-        np.testing.assert_allclose(with_frozen.rhs, without.rhs - frozen)
+        np.testing.assert_allclose(with_frozen.rhs, without.rhs - [0.0, 0.25])
         np.testing.assert_array_equal(with_frozen.to_dense(), without.to_dense())
 
     def test_missing_derivative_raises(self):
@@ -103,6 +106,48 @@ class TestPdeRows:
         ev = monomial_eval(pts, 2, [])  # second derivative not provided
         with pytest.raises(KeyError):
             assemble_pde_rows(problem, GlobalIndexing(1, 3), 0, pts, ev)
+
+
+def advection_problem():
+    """u'' + u u_x = 1 on [0, 2]."""
+    return ProblemSpec(
+        name="advection",
+        domain=DomainSpec.interval(0.0, 2.0),
+        linear_terms=(LinearTerm(1.0, (2,)),),
+        source=lambda pts: np.ones(pts.shape[0]),
+        boundary=lambda pts: np.zeros(pts.shape[0]),
+        nonlinear=NonlinearTerm(
+            value=lambda pts, u, derivs: u * derivs[(1,)],
+            partials={
+                (0,): lambda pts, u, derivs: derivs[(1,)],
+                (1,): lambda pts, u, derivs: u,
+            },
+            orders=((1,),),
+        ),
+    )
+
+
+class TestPicardRows:
+    @pytest.mark.parametrize(
+        "live, row, rhs",
+        [
+            # Picard keeps u_x live with the lagged coefficient u = 3:
+            # [0,0,2] + 3*[0,1,2]; rhs f - u u_x + u*u_x = 1 - 6 + 6
+            (((1,),), [0.0, 3.0, 8.0], 1.0),
+            # Newton adds u_x * phi = 2*[1,1,1]; rhs gains u_x * u = 6
+            (((0,), (1,)), [2.0, 5.0, 10.0], 7.0),
+        ],
+        ids=["picard", "newton"],
+    )
+    def test_advection_rows_by_live_slot(self, live, row, rhs):
+        pts = np.array([[1.0]])
+        ev = monomial_eval(pts, 2, [(1,), (2,)])
+        u, derivs = np.array([3.0]), {(1,): np.array([2.0])}
+        block = assemble_pde_rows(
+            advection_problem(), GlobalIndexing(1, 3), 0, pts, ev, u, derivs, live=live
+        )
+        np.testing.assert_allclose(block.to_dense(), [row])
+        np.testing.assert_allclose(block.rhs, [rhs])
 
 
 class TestNewtonRows:
@@ -122,8 +167,15 @@ class TestNewtonRows:
         pts = np.array([[1.0]])
         ev = monomial_eval(pts, 2, [(2,)])
         u = np.array([3.0])
-        block = assemble_newton_rows(
-            problem, GlobalIndexing(1, 3), 0, pts, ev, u, {(2,): np.array([0.0])}
+        block = assemble_pde_rows(
+            problem,
+            GlobalIndexing(1, 3),
+            0,
+            pts,
+            ev,
+            u,
+            {(2,): np.array([0.0])},
+            live=tuple(problem.nonlinear.partials),
         )
         # J row: d2(phi)/dx2 + 2u*phi at x=1 -> [0,0,2] + 6*[1,1,1]
         np.testing.assert_allclose(block.to_dense(), [[6.0, 6.0, 8.0]])
@@ -412,17 +464,7 @@ class TestPolynomialOracle:
 
 
 class TestUtilities:
-    def test_equilibrate_rows_unit_norms(self):
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(5, 3)) * np.array([[1], [10], [100], [1000], [0.01]])
-        indexing = GlobalIndexing(1, 3)
-        block = RowBlock(kind="pde", width=3, n_rows=5, rhs=rng.normal(size=5), pieces=[])
-        system = assemble_global([block], indexing)
-        system.matrix[:] = A
-        scaled = equilibrate_rows(system)
-        np.testing.assert_allclose(np.linalg.norm(scaled.matrix, axis=1), 1.0)
-
-    def test_dump_npz_and_csv(self, tmp_path):
+    def test_dump_npz(self, tmp_path):
         indexing = GlobalIndexing(1, 2)
         block = RowBlock(
             kind="pde", width=2, n_rows=2, rhs=np.array([1.0, 2.0]), pieces=[]
@@ -435,12 +477,6 @@ class TestUtilities:
         loaded = np.load(npz)
         np.testing.assert_array_equal(loaded["matrix"], system.matrix)
         np.testing.assert_array_equal(loaded["rhs"], system.rhs)
-
-        csv_path = tmp_path / "system.csv"
-        dump_system(system, csv_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "a0,a1,rhs"
-        assert len(lines) == 3
 
     def test_dump_unknown_extension(self, tmp_path):
         indexing = GlobalIndexing(1, 1)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from subspacepde import cli
 from subspacepde.cli import main
 from subspacepde.config import ConfigError, from_dict, load_config
 
@@ -84,6 +85,12 @@ class TestConfigValidation:
         pts = np.array([[0.5]])
         assert config.problem.exact(pts)[0] == pytest.approx(1.0, abs=1e-12)
         assert config.problem.default_continuity_orders() == (1,)
+
+    def test_system_dump_must_be_npz(self, tmp_path):
+        doc = tiny_config(tmp_path)
+        doc["dump_system"] = "system.csv"
+        with pytest.raises(ConfigError, match="dump_system"):
+            from_dict(doc)
 
     def test_custom_problem_bad_expression_names_field(self, tmp_path):
         doc = tiny_config(tmp_path)
@@ -228,6 +235,19 @@ class TestSweepCommand:
         # subspace_dim 0 fails config materialization inside the cell;
         # validated upfront, so this is a config error for the whole sweep
         assert main(["sweep", cfg, "--axis", "subspace_dim", "--values", "0,30"]) == 2
+
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-1"])
+    def test_bad_worker_count_is_config_error(self, tmp_path, capsys, monkeypatch, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a sweep cell or worker pool was started")
+
+        monkeypatch.setenv("SUBSPACEPDE_WORKERS", value)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(cli, "_run_sweep_cell", no_work)
+        cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["sweep", cfg, "--axis", "subspace_dim", "--values", "25"]) == 2
+        assert "SUBSPACEPDE_WORKERS" in capsys.readouterr().err
 
 
 class TestListProblems:

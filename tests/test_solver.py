@@ -1,9 +1,17 @@
 """End-to-end drivers at desk scale: tiny configs, degenerate modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from subspacepde.assembly import GlobalIndexing, assemble_boundary_rows, assemble_global, assemble_pde_rows
+from subspacepde.assembly import (
+    GlobalIndexing,
+    assemble_boundary_rows,
+    assemble_global,
+    assemble_pde_rows,
+    solve_least_squares,
+)
 from subspacepde.geometry import DomainSpec, PartitionSpec, partition, sample_boundary, sample_interior
 from subspacepde.network import NetworkConfig, eval_basis, init_params
 from subspacepde.problems import NonlinearTerm, ProblemSpec, builtin
@@ -12,11 +20,10 @@ from subspacepde.solver import (
     EvaluationSpec,
     NonlinearConfig,
     SamplingConfig,
+    _iterate,
     evaluate_solution,
     evaluation_grid,
-    solve_linear,
-    solve_newton,
-    solve_picard,
+    solve,
 )
 from subspacepde.training import TrainingConfig
 
@@ -53,7 +60,7 @@ def linear_as_nonlinear(problem):
 
 class TestSolveLinear:
     def test_untrained_random_features_solve(self):
-        report = solve_linear(**tiny_linear_setup(), init_mode="uniform_range")
+        report = solve(**tiny_linear_setup(), init_mode="uniform_range")
         assert report.converged
         assert report.nonlinear_iters == 0
         assert report.epochs_per_subdomain == [0, 0]
@@ -66,11 +73,11 @@ class TestSolveLinear:
         setup["sampling"] = SamplingConfig(interior_counts=(8, 8), seed=1)
         setup["network"] = NetworkConfig(input_dim=2, subspace_dim=20)
         with pytest.raises(ValueError):
-            solve_linear(**setup)
+            solve(**setup)
 
     def test_report_shapes_and_determinism(self):
-        a = solve_linear(**tiny_linear_setup(), init_mode="uniform_range")
-        b = solve_linear(**tiny_linear_setup(), init_mode="uniform_range")
+        a = solve(**tiny_linear_setup(), init_mode="uniform_range")
+        b = solve(**tiny_linear_setup(), init_mode="uniform_range")
         assert a.rows == b.rows and a.columns == 2 * 40
         np.testing.assert_array_equal(a.beta.values, b.beta.values)
         da, db = a.to_json_dict(), b.to_json_dict()
@@ -78,19 +85,24 @@ class TestSolveLinear:
         assert da == db
 
     def test_training_mode_improves_over_short_run(self):
-        trained = solve_linear(**tiny_linear_setup(epochs_zero=False))
+        trained = solve(**tiny_linear_setup(epochs_zero=False))
         assert any(e > 0 for e in trained.epochs_per_subdomain)
 
     def test_evaluation_grid_override(self):
-        report = solve_linear(
+        report = solve(
             **tiny_linear_setup(),
             init_mode="uniform_range",
             evaluation=EvaluationSpec(counts=(17,)),
         )
         assert report.samples[0].shape == (17, 1)
 
+    def test_total_wall_time_covers_every_phase(self):
+        wall = solve(**tiny_linear_setup(), init_mode="uniform_range").wall_times
+        assert set(wall) == {"train", "assemble", "solve", "evaluate", "total"}
+        assert wall["total"] >= sum(v for k, v in wall.items() if k != "total")
+
     def test_interface_jump_reported(self):
-        report = solve_linear(**tiny_linear_setup(), init_mode="uniform_range")
+        report = solve(**tiny_linear_setup(), init_mode="uniform_range")
         assert report.interface_jump_max <= 10 * report.ls_residual_rms
 
 
@@ -129,7 +141,7 @@ class TestDegeneration:
         # one subdomain, no hidden layers, no training: the global
         # random-feature pipeline, with no continuity rows at all
         problem = builtin("helmholtz1d")
-        report = solve_linear(
+        report = solve(
             problem,
             PartitionSpec((1,)),
             SamplingConfig(interior_counts=(120,), seed=202),
@@ -144,7 +156,7 @@ class TestDegeneration:
 
     def test_epochs_zero_logs_no_training(self, tmp_path):
         problem = builtin("helmholtz1d")
-        report = solve_linear(
+        report = solve(
             **tiny_linear_setup(),
             init_mode="uniform_range",
             log_dir=str(tmp_path),
@@ -156,9 +168,9 @@ class TestDegeneration:
 class TestNonlinearDrivers:
     def test_zero_nonlinearity_converges_immediately_to_linear(self):
         setup = tiny_linear_setup()
-        linear_report = solve_linear(**setup, init_mode="uniform_range")
+        linear_report = solve(**setup, init_mode="uniform_range")
         setup["problem"] = linear_as_nonlinear(setup["problem"])
-        picard = solve_picard(
+        picard = solve(
             **setup,
             nonlinear=NonlinearConfig(method="picard", max_iters=10, tol=1e-10),
             init_mode="uniform_range",
@@ -171,9 +183,9 @@ class TestNonlinearDrivers:
 
     def test_newton_on_linear_problem_single_step(self):
         setup = tiny_linear_setup()
-        linear_report = solve_linear(**setup, init_mode="uniform_range")
+        linear_report = solve(**setup, init_mode="uniform_range")
         setup["problem"] = linear_as_nonlinear(setup["problem"])
-        newton = solve_newton(
+        newton = solve(
             **setup,
             nonlinear=NonlinearConfig(
                 method="newton", max_iters=5, tol=1e-10, picard_warmup_iters=0
@@ -189,13 +201,13 @@ class TestNonlinearDrivers:
     def test_picard_requires_nonlinear_problem(self):
         setup = tiny_linear_setup()
         with pytest.raises(ValueError):
-            solve_picard(
+            solve(
                 **setup, nonlinear=NonlinearConfig(method="picard", max_iters=3, tol=1e-6)
             )
 
     def test_small_nonlinear_helmholtz_converges(self):
         problem = builtin("nonlinear_helmholtz1d")
-        report = solve_picard(
+        report = solve(
             problem,
             PartitionSpec((8,)),
             SamplingConfig(interior_counts=(60,), seed=202),
@@ -219,20 +231,19 @@ class TestNonlinearDrivers:
             NetworkConfig(input_dim=1, hidden_widths=(60, 60), subspace_dim=100),
             TrainingConfig(max_epochs=600, seed=202),
         )
-        from subspacepde.solver import _PicardLoop
-
         tol = 1e-6
-        loop = _PicardLoop(disc)
-        _, converged = loop.iterate(15, tol)
+        system = disc.assemble_linear_system(disc.network_output_with_unit_coefficients())
+        beta, _ = solve_least_squares(system)
+        beta, _, converged = _iterate(disc, beta, (), None, 15, tol, [])
         assert converged
-        u_before = disc.interior_values_flat(loop.beta)
-        loop.iterate(1, 0.0)
-        u_after = disc.interior_values_flat(loop.beta)
+        u_before = disc.interior_values_flat(beta)
+        beta, _, _ = _iterate(disc, beta, (), None, 1, 0.0, [])
+        u_after = disc.interior_values_flat(beta)
         assert np.max(np.abs(u_after - u_before)) <= tol
 
     def test_non_convergence_reported_not_raised(self):
         problem = builtin("nonlinear_helmholtz1d")
-        report = solve_picard(
+        report = solve(
             problem,
             PartitionSpec((2,)),
             SamplingConfig(interior_counts=(30,), seed=1),
@@ -244,6 +255,20 @@ class TestNonlinearDrivers:
         assert not report.converged
         assert report.nonlinear_iters == 1
 
+    @pytest.mark.parametrize("method", ["picard", "newton"])
+    def test_non_finite_nonlinear_term_raises(self, method):
+        nan = lambda pts, u, derivs: np.full(pts.shape[0], np.nan)
+        setup = tiny_linear_setup()
+        setup["problem"] = dataclasses.replace(
+            setup["problem"], nonlinear=NonlinearTerm(value=nan, partials={(0,): nan})
+        )
+        with pytest.raises(ValueError):
+            solve(
+                **setup,
+                nonlinear=NonlinearConfig(method=method, max_iters=3, tol=1e-6),
+                init_mode="uniform_range",
+            )
+
 
 class TestEvaluationHelpers:
     def test_evaluation_grid_counts(self):
@@ -254,7 +279,7 @@ class TestEvaluationHelpers:
 
     def test_evaluate_solution_piecewise(self):
         problem = builtin("helmholtz1d")
-        report = solve_linear(**tiny_linear_setup(), init_mode="uniform_range")
+        report = solve(**tiny_linear_setup(), init_mode="uniform_range")
         subs, _ = partition(
             problem.domain, PartitionSpec((2,)), problem.default_continuity_orders()
         )
