@@ -117,12 +117,15 @@ def assemble_pde_rows(
     weights = problem.linear_row_weights(pts)
     rhs = problem.source(pts).astype(float, copy=True)
     if u is not None:
+        # The part of N not carried by live slots is formed before it meets
+        # the source: for u u_x with u_x live it cancels to exactly zero.
         term = problem.nonlinear
-        rhs -= term.value(pts, u, u_derivs)
+        remainder = term.value(pts, u, u_derivs).astype(float, copy=True)
         for alpha in live:
             partial = term.partials[alpha](pts, u, u_derivs)
             weights[alpha] = weights[alpha] + partial if alpha in weights else partial
-            rhs += partial * (u if alpha == zero else u_derivs[alpha])
+            remainder -= partial * (u if alpha == zero else u_derivs[alpha])
+        rhs -= remainder
     local = np.zeros((n, basis.num_basis))
     for alpha, coef in weights.items():
         block = basis.values if alpha == zero else basis.deriv(alpha)

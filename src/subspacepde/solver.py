@@ -493,7 +493,11 @@ def _iterate(
     iterate, so ``factor`` (made on the first sweep when None) serves every
     sweep; otherwise each sweep factors its own matrix and drops it.
     ``residual_history`` collects the stacked nonlinear residual before
-    each sweep.  Returns (beta, sweeps used, converged).
+    each sweep; with it, the converging sweep is kept only if it does not
+    raise that residual.  Its step is below ``tol``, so either iterate is a
+    fixed point, and at the floor of the least-squares solve rounding alone
+    decides which has the smaller residual.  Returns (beta, sweeps used,
+    converged).
     """
     u_prev = disc.interior_values_flat(beta)
     best = (np.inf, beta)
@@ -504,6 +508,7 @@ def _iterate(
         system = disc.assemble_linear_system(solution, live)
         if factor is None and not live:
             factor = CachedLstsq(system.matrix)
+        previous = beta
         beta, residual = solve_least_squares(system, factor)
         del system
         ls_history.append(residual)
@@ -513,6 +518,10 @@ def _iterate(
         if delta < best[0]:
             best = (delta, beta)
         if delta <= tol:
+            if residual_history is not None and (
+                disc.stacked_residual_norm(beta) > residual_history[-1]
+            ):
+                beta = previous
             return beta, sweep, True
     return (best[1] if np.isfinite(best[0]) else beta), max_iters, False
 

@@ -149,6 +149,17 @@ class TestPicardRows:
         np.testing.assert_allclose(block.to_dense(), [row])
         np.testing.assert_allclose(block.rhs, [rhs])
 
+    def test_lagged_advection_rhs_is_the_source_exactly(self):
+        # u u_x - u * u_x cancels before it meets the source; at this size
+        # f - u u_x + u u_x would round the source f = 1 away entirely
+        pts = np.linspace(0.1, 1.9, 7)[:, None]
+        ev = monomial_eval(pts, 2, [(1,), (2,)])
+        u, derivs = 1e9 * np.pi * pts[:, 0] ** 3, {(1,): 1e9 * np.e / pts[:, 0]}
+        block = assemble_pde_rows(
+            advection_problem(), GlobalIndexing(1, 3), 0, pts, ev, u, derivs, live=((1,),)
+        )
+        np.testing.assert_array_equal(block.rhs, np.ones(7))
+
 
 class TestNewtonRows:
     def test_linearized_rows_add_partial_terms(self):

@@ -241,6 +241,24 @@ class TestNonlinearDrivers:
         u_after = disc.interior_values_flat(beta)
         assert np.max(np.abs(u_after - u_before)) <= tol
 
+    @pytest.mark.parametrize("step, keeps_new", [(1.0, False), (-1.0, True)])
+    def test_converging_sweep_kept_only_if_residual_does_not_rise(
+        self, monkeypatch, step, keeps_new
+    ):
+        setup = tiny_linear_setup()
+        problem = linear_as_nonlinear(setup.pop("problem"))
+        disc = Discretization(problem, **setup)
+        beta, _ = solve_least_squares(disc.assemble_linear_system())
+        # residuals that move by `step` at every evaluation, as rounding
+        # moves them at the floor of the least-squares solve
+        values = iter(10.0 + step * np.arange(5))
+        monkeypatch.setattr(disc, "stacked_residual_norm", lambda b, s=None: next(values))
+        history = []
+        live = tuple(problem.nonlinear.partials)
+        out, sweeps, converged = _iterate(disc, beta, live, None, 5, 1e-6, [], history)
+        assert converged and sweeps == 1
+        assert (out is not beta) == keeps_new
+
     def test_non_convergence_reported_not_raised(self):
         problem = builtin("nonlinear_helmholtz1d")
         report = solve(
