@@ -121,7 +121,6 @@ SCHEMA = {
                 "subspace_dim": {"type": "integer", "minimum": 1},
                 "init": {"enum": ["glorot", "uniform_range"]},
                 "init_range": {"type": "number", "minimum": 0},
-                "subspace_activation": {"enum": ["tanh", "affine"]},
             },
         },
         "training": {
@@ -290,7 +289,6 @@ def from_dict(doc: dict) -> RunConfig:
             hidden_widths=tuple(network_doc.get("hidden_widths", ())),
             subspace_dim=network_doc["subspace_dim"],
             init_range=network_doc.get("init_range", 1.0),
-            subspace_activation=network_doc.get("subspace_activation", "tanh"),
         )
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc

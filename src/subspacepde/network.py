@@ -4,17 +4,18 @@ A network maps a point of the subdomain, normalized to [-1, 1]^dim, through
 tanh hidden layers into a final layer of M basis-function values.  First and
 second input derivatives of every basis function are propagated analytically
 layer by layer (forward mode), never by numerical differencing, so assembled
-matrix entries are accurate to machine precision.
+matrix entries are accurate to machine precision.  The value and derivative
+channels travel together as one (C, n, width) array per layer.
 
 The approximate solution on a subdomain is a linear combination of the basis
 values with externally determined coefficients; `eval_solution` applies that
-contraction to values and derivative blocks alike.
+scalar contraction to values and derivative blocks alike.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,24 +34,20 @@ class NetworkConfig:
 
     ``subspace_dim`` is the number of basis functions emitted by the final
     layer; ``init_range`` is the half-width of the uniform initialization
-    used by the untrained (random-feature) modes.  The final layer applies
-    tanh by default; set ``subspace_activation="affine"`` to emit the raw
-    affine map instead.
+    used by the untrained (random-feature) modes.  Every layer, the final
+    one included, applies tanh.
     """
 
     input_dim: int
     hidden_widths: tuple[int, ...] = ()
     subspace_dim: int = 100
     init_range: float = 1.0
-    subspace_activation: str = "tanh"
 
     def __post_init__(self) -> None:
         if self.input_dim < 1 or self.subspace_dim < 1:
             raise ValueError("input_dim and subspace_dim must be >= 1")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden widths must be >= 1")
-        if self.subspace_activation not in ("tanh", "affine"):
-            raise ValueError("subspace_activation must be 'tanh' or 'affine'")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -167,16 +164,20 @@ def normalize(points: Array, subdomain: SubdomainSpec, tol: float = CONTAINMENT_
     return z, 2.0 / widths
 
 
-def _split_orders(orders: Iterable[MultiIndex], dim: int) -> tuple[list[int], list[MultiIndex]]:
+def _split_orders(
+    orders: Iterable[MultiIndex], dim: int
+) -> tuple[list[int], list[tuple[int, int]], dict[MultiIndex, int]]:
     """Derivative channels needed to honour the requested multi-indices.
 
-    Returns (first-order axes, second-order keys); second-order keys are
-    either a pure axis (s, s) or a mixed pair (s, r) with s < r.  Pure
-    second derivatives need the matching first derivative for the chain
-    rule, so those axes are added to the first-order set.
+    Returns (first-order axes, second-order keys, channel of each requested
+    multi-index and of the zero multi-index).  Second-order keys are either
+    a pure axis (s, s) or a mixed pair (s, r) with s < r; both need the
+    first derivatives along their axes for the chain rule, so those axes
+    join the first-order set.  Channel 0 is the value, then come the
+    first-order axes and then the second-order keys, each in sorted order.
     """
     first: set[int] = set()
-    second: set[tuple[int, int]] = set()
+    keys: dict[MultiIndex, int | tuple[int, int] | None] = {(0,) * dim: None}
     for alpha in orders:
         if len(alpha) != dim:
             raise ValueError(f"multi-index {alpha} does not match input dimension {dim}")
@@ -186,31 +187,12 @@ def _split_orders(orders: Iterable[MultiIndex], dim: int) -> tuple[list[int], li
         if any(a < 0 or a > 2 for a in alpha) or total > 2:
             raise ValueError(f"unsupported derivative multi-index {alpha}")
         nz = [s for s, a in enumerate(alpha) if a > 0]
-        if total == 1:
-            first.add(nz[0])
-        elif len(nz) == 1:
-            second.add((nz[0], nz[0]))
-            first.add(nz[0])
-        else:
-            second.add((nz[0], nz[1]))
-            first.update(nz)
-    return sorted(first), sorted(second)
-
-
-@dataclass
-class LayerState:
-    """Primal value and derivative channels after one layer.
-
-    ``pre`` is the affine pre-activation (None for the normalization layer
-    and for an affine subspace layer, where it equals ``z``).
-    """
-
-    z: Array
-    d1: dict[int, Array]
-    d2: dict[tuple[int, int], Array]
-    pre: Array | None = None
-    pre_d1: dict[int, Array] = field(default_factory=dict)
-    pre_d2: dict[tuple[int, int], Array] = field(default_factory=dict)
+        keys[alpha] = nz[0] if total == 1 else (nz[0], nz[-1])
+        first.update(nz)
+    first_axes = sorted(first)
+    second_keys = sorted({key for key in keys.values() if isinstance(key, tuple)})
+    slots = [None, *first_axes, *second_keys]
+    return first_axes, second_keys, {alpha: slots.index(key) for alpha, key in keys.items()}
 
 
 def forward_states(
@@ -219,13 +201,15 @@ def forward_states(
     points: Array,
     first_axes: Sequence[int],
     second_keys: Sequence[tuple[int, int]],
-    subspace_activation: str = "tanh",
-) -> list[LayerState]:
+) -> tuple[list[Array], list[Array], list[tuple[int, int, int]]]:
     """Run the network, propagating value and derivative channels.
 
-    Returns one state per layer, starting with the normalized input.  The
-    training gradient re-walks these states in reverse, so everything a
-    backward pass needs is kept.
+    Each layer carries one (C, n, width) array, channels laid out as in
+    `_split_orders`, and one GEMM per layer moves all of them.  Returns the
+    channel stack after every layer, starting with the normalized input,
+    the pre-activation stack of every layer, and for each second-order key
+    (u, v) its channel with the first-order channels of u and v; the
+    training gradient re-walks all three in reverse.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != params.input_dim:
@@ -233,32 +217,32 @@ def forward_states(
     z, chain = normalize(pts, subdomain)
     n, dim = z.shape
 
-    d1 = {s: np.tile(chain[s] * np.eye(dim)[s], (n, 1)) for s in first_axes}
-    d2 = {key: np.zeros((n, dim)) for key in second_keys}
-    states = [LayerState(z=z, d1=d1, d2=d2)]
+    x = np.zeros((1 + len(first_axes) + len(second_keys), n, dim))
+    x[0] = z
+    for c, s in enumerate(first_axes, start=1):
+        x[c, :, s] = chain[s]
+    pairs = [
+        (c, 1 + first_axes.index(u), 1 + first_axes.index(v))
+        for c, (u, v) in enumerate(second_keys, start=1 + len(first_axes))
+    ]
 
-    num_layers = params.num_layers
-    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        prev = states[-1]
-        a = prev.z @ W.T + b
-        da = {s: prev.d1[s] @ W.T for s in first_axes}
-        d2a = {key: prev.d2[key] @ W.T for key in second_keys}
-        is_last = l == num_layers - 1
-        if is_last and subspace_activation == "affine":
-            states.append(LayerState(z=a, d1=da, d2=d2a, pre=None))
-            continue
-        s_val = np.tanh(a)
+    outs, pres = [x], []
+    for W, b in zip(params.weights, params.biases):
+        a = (x.reshape(-1, W.shape[1]) @ W.T).reshape(len(x), n, W.shape[0])
+        a[0] += b
+        s_val = np.tanh(a[0])
         s1 = 1.0 - s_val * s_val
         s2 = -2.0 * s_val * s1
-        new_d1 = {s: s1 * da[s] for s in first_axes}
-        new_d2 = {}
-        for key in second_keys:
-            u, v = key
-            new_d2[key] = s2 * da[u] * da[v] + s1 * d2a[key]
-        states.append(
-            LayerState(z=s_val, d1=new_d1, d2=new_d2, pre=a, pre_d1=da, pre_d2=d2a)
-        )
-    return states
+        x = np.empty_like(a)
+        x[0] = s_val
+        np.multiply(a[1:], s1, out=x[1:])
+        for c, u, v in pairs:
+            t = s2 * a[u]
+            t *= a[v]
+            x[c] += t
+        outs.append(x)
+        pres.append(a)
+    return outs, pres, pairs
 
 
 @dataclass
@@ -273,10 +257,6 @@ class BasisEval:
     derivs: dict[MultiIndex, Array]
 
     @property
-    def num_points(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def num_basis(self) -> int:
         return self.values.shape[1]
 
@@ -289,43 +269,29 @@ class BasisEval:
             raise KeyError(f"derivative {alpha} was not requested from eval_basis") from None
 
 
-def _alpha_to_key(alpha: MultiIndex) -> int | tuple[int, int]:
-    nz = [s for s, a in enumerate(alpha) if a > 0]
-    total = sum(alpha)
-    if total == 1:
-        return nz[0]
-    if len(nz) == 1:
-        return (nz[0], nz[0])
-    return (nz[0], nz[1])
-
-
 def eval_basis(
     params: NetworkParams,
     subdomain: SubdomainSpec,
     points: Array,
     orders: Iterable[MultiIndex] = (),
-    subspace_activation: str = "tanh",
 ) -> BasisEval:
     """Evaluate basis functions and the requested derivatives at points."""
-    orders = [tuple(a) for a in orders]
-    first_axes, second_keys = _split_orders(orders, params.input_dim)
-    states = forward_states(params, subdomain, points, first_axes, second_keys, subspace_activation)
-    out = states[-1]
-    derivs: dict[MultiIndex, Array] = {}
-    for alpha in orders:
-        if sum(alpha) == 0:
-            continue
-        key = _alpha_to_key(alpha)
-        derivs[alpha] = out.d1[key] if isinstance(key, int) else out.d2[key]
-    return BasisEval(values=out.z, derivs=derivs)
+    first_axes, second_keys, channel = _split_orders(
+        [tuple(a) for a in orders], params.input_dim
+    )
+    outs = forward_states(params, subdomain, points, first_axes, second_keys)[0]
+    # Keep only the requested channels; the others served the chain rule.
+    used = sorted(set(channel.values()))
+    out = outs[-1] if len(used) == len(outs[-1]) else outs[-1][used]
+    derivs = {alpha: out[used.index(c)] for alpha, c in channel.items() if c}
+    return BasisEval(values=out[0], derivs=derivs)
 
 
 @dataclass(frozen=True)
 class CoefficientVector:
     """Stacked per-subdomain coefficient blocks, subdomain order.
 
-    ``block_size`` is the basis count M (times the component count for
-    multi-component outputs).
+    ``block_size`` is the basis count M of every subdomain.
     """
 
     values: Array
@@ -349,8 +315,8 @@ class CoefficientVector:
 def eval_solution(basis: BasisEval, beta: Array) -> tuple[Array, dict[MultiIndex, Array]]:
     """Contract basis values and derivative blocks with coefficients.
 
-    ``beta`` has shape (M,) for scalar problems or (M, s) for s components;
-    the same contraction applies to each derivative block by linearity.
+    ``beta`` has shape (M,); the same contraction applies to each
+    derivative block by linearity.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape[0] != basis.num_basis:

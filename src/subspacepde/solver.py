@@ -54,6 +54,7 @@ from .network import (
     NetworkConfig,
     NetworkParams,
     eval_basis,
+    eval_solution,
     init_params,
 )
 from .problems import ErrorNorms, ProblemSpec, error_norms
@@ -107,9 +108,11 @@ class NonlinearConfig:
 class SolveReport:
     """Everything a solve produced, ready for serialization.
 
-    ``samples`` holds the evaluation-grid points with numeric (and exact,
-    when known) solution values; it feeds the CSV writer and is not part
-    of the JSON document.
+    ``nonlinear_residual_history`` holds the 2-norm of the stacked
+    nonlinear residual before each Newton step and, for both methods, at
+    the returned iterate last.  ``samples`` holds the evaluation-grid
+    points with numeric (and exact, when known) solution values; it feeds
+    the CSV writer and is not part of the JSON document.
     """
 
     problem: str
@@ -242,7 +245,6 @@ class Discretization:
                 sub,
                 self.interior[sub.index],
                 training,
-                subspace_activation=network.subspace_activation,
                 log_path=log_path,
             )
             self.params.append(theta)
@@ -259,10 +261,9 @@ class Discretization:
 
     def _build_evals(self) -> None:
         problem = self.problem
-        act = self.network.subspace_activation
         orders = problem.operator_orders()
         self.interior_evals: list[BasisEval] = [
-            eval_basis(self.params[sub.index], sub, pts.points, orders, act)
+            eval_basis(self.params[sub.index], sub, pts.points, orders)
             for sub, pts in zip(self.subdomains, self.interior)
         ]
 
@@ -273,7 +274,7 @@ class Discretization:
             for sub in self.subdomains:
                 mask = owners == sub.index
                 if mask.any():
-                    ev = eval_basis(self.params[sub.index], sub, self.boundary.points[mask], (), act)
+                    ev = eval_basis(self.params[sub.index], sub, self.boundary.points[mask])
                     self.boundary_values[mask] = ev.values
 
         self.interface_evals: list[tuple[BasisEval, BasisEval]] = []
@@ -283,10 +284,10 @@ class Discretization:
                 for order in range(1, iface.continuity_order + 1)
             ]
             left = eval_basis(
-                self.params[iface.left], self.subdomains[iface.left], pts.points, alphas, act
+                self.params[iface.left], self.subdomains[iface.left], pts.points, alphas
             )
             right = eval_basis(
-                self.params[iface.right], self.subdomains[iface.right], pts.points, alphas, act
+                self.params[iface.right], self.subdomains[iface.right], pts.points, alphas
             )
             self.interface_evals.append((left, right))
 
@@ -314,13 +315,10 @@ class Discretization:
 
     def interior_solution(self, beta: CoefficientVector):
         """Per-subdomain (u, derivs) at the interior points for given coefficients."""
-        out = []
-        for sub, ev in zip(self.subdomains, self.interior_evals):
-            b = beta.block(sub.index)
-            u = ev.values @ b
-            derivs = {alpha: block @ b for alpha, block in ev.derivs.items()}
-            out.append((u, derivs))
-        return out
+        return [
+            eval_solution(ev, beta.block(sub.index))
+            for sub, ev in zip(self.subdomains, self.interior_evals)
+        ]
 
     def interior_values_flat(self, beta: CoefficientVector) -> Array:
         return np.concatenate([ev.values @ beta.block(sub.index) for sub, ev in zip(self.subdomains, self.interior_evals)])
@@ -386,7 +384,6 @@ def evaluate_solution(
     subdomains: Sequence[SubdomainSpec],
     params: Sequence[NetworkParams],
     beta: CoefficientVector,
-    subspace_activation: str = "tanh",
 ) -> Array:
     """Evaluate the assembled solution at arbitrary points of the domain."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -395,7 +392,7 @@ def evaluate_solution(
     for sub in subdomains:
         mask = owners == sub.index
         if mask.any():
-            ev = eval_basis(params[sub.index], sub, pts[mask], (), subspace_activation)
+            ev = eval_basis(params[sub.index], sub, pts[mask])
             out[mask] = ev.values @ beta.block(sub.index)
     return out
 
@@ -442,9 +439,7 @@ def _finish_report(
     problem = disc.problem
     eval_spec = evaluation or _default_evaluation(partition_spec, sampling)
     grid = evaluation_grid(problem.domain, eval_spec)
-    u_hat = evaluate_solution(
-        grid, disc.subdomains, disc.params, beta, disc.network.subspace_activation
-    )
+    u_hat = evaluate_solution(grid, disc.subdomains, disc.params, beta)
     norms = None
     u_exact = None
     if problem.exact is not None:
@@ -579,6 +574,8 @@ def solve(
             disc, beta, picard, factor, sweeps, nonlinear.tol, ls_history
         )
         final_residual = ls_history[-1]
+        if not newton:
+            nonlinear_history.append(disc.stacked_residual_norm(beta))
     del factor  # hold no factorization through Newton's own or the evaluation
     if newton:
         warmup_used = iters

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import PointSet, SubdomainSpec
-from .network import LayerState, NetworkParams, _alpha_to_key, _split_orders, forward_states
+from .network import NetworkParams, _split_orders, forward_states
 from .problems import ProblemSpec
 
 Array = NDArray[np.float64]
@@ -54,98 +54,56 @@ class TrainingConfig:
             raise ValueError("max_epochs must be >= 0")
 
 
-def _summed_output(state: LayerState, orders):
-    """Solution value/derivatives with unit coefficients (row sums over basis)."""
-    u = state.z.sum(axis=1)
-    derivs = {}
-    for alpha in orders:
-        key = _alpha_to_key(alpha)
-        block = state.d1[key] if isinstance(key, int) else state.d2[key]
-        derivs[alpha] = block.sum(axis=1)
-    return u, derivs
-
-
-def _forward_residual(
-    params: NetworkParams,
-    problem: ProblemSpec,
-    subdomain: SubdomainSpec,
-    points: Array,
-    subspace_activation: str,
-):
-    orders = problem.operator_orders()
-    first_axes, second_keys = _split_orders(orders, params.input_dim)
-    states = forward_states(params, subdomain, points, first_axes, second_keys, subspace_activation)
-    u, derivs = _summed_output(states[-1], orders)
-    r = problem.residual(points, u, derivs)
-    return states, u, derivs, r, first_axes, second_keys
-
-
-def residual_loss(
-    params: NetworkParams,
-    problem: ProblemSpec,
-    subdomain: SubdomainSpec,
-    points: PointSet | Array,
-    subspace_activation: str = "tanh",
-) -> float:
-    """Mean squared PDE residual over the point set, coefficients == 1."""
+def _as_points(points: PointSet | Array) -> Array:
     pts = points.points if isinstance(points, PointSet) else np.atleast_2d(points)
     if pts.shape[0] == 0:
-        raise ValueError("residual loss needs a nonempty point set")
-    _, _, _, r, _, _ = _forward_residual(params, problem, subdomain, pts, subspace_activation)
-    return float(np.mean(r * r))
+        raise ValueError("the residual loss needs a nonempty point set")
+    return pts
 
 
 def _backward(
     params: NetworkParams,
-    states: list[LayerState],
-    g_z: Array,
-    g_d1: dict[int, Array],
-    g_d2: dict[tuple[int, int], Array],
-    first_axes: Sequence[int],
-    second_keys: Sequence[tuple[int, int]],
+    outs: list[Array],
+    pres: list[Array],
+    g: Array,
+    pairs: Sequence[tuple[int, int, int]],
 ) -> list[tuple[Array, Array]]:
-    """Reverse pass through the derivative-propagating forward computation."""
+    """Reverse pass through the derivative-propagating forward computation.
+
+    ``g`` is the loss gradient with respect to the last channel stack; a
+    (C, n, 1) seed broadcasts over the basis functions.
+    """
+    first = range(1, len(outs[0]) - len(pairs))
     grads: list[tuple[Array, Array]] = [None] * params.num_layers  # type: ignore[list-item]
     for l in range(params.num_layers - 1, -1, -1):
-        W = params.weights[l]
-        out = states[l + 1]
-        inp = states[l]
-        if out.pre is not None:  # tanh layer
-            s_val = out.z
-            s1 = 1.0 - s_val * s_val
-            s2 = -2.0 * s_val * s1
-            s3 = s1 * (6.0 * s_val * s_val - 2.0)
-            da = out.pre_d1
-            d2a = out.pre_d2
-            a_bar = g_z * s1
-            da_bar = {s: g_d1[s] * s1 for s in first_axes}
-            d2a_bar = {}
-            for key in second_keys:
-                u, v = key
-                g = g_d2[key]
-                a_bar += g * (s3 * da[u] * da[v] + s2 * d2a[key])
-                da_bar[u] = da_bar[u] + g * s2 * da[v]
-                da_bar[v] = da_bar[v] + g * s2 * da[u]
-                d2a_bar[key] = g * s1
-            for s in first_axes:
-                a_bar += g_d1[s] * s2 * da[s]
-        else:  # affine subspace layer
-            a_bar = g_z
-            da_bar = dict(g_d1)
-            d2a_bar = dict(g_d2)
+        a = pres[l]
+        s_val = outs[l + 1][0]
+        s1 = 1.0 - s_val * s_val
+        s2 = -2.0 * s_val * s1
+        s3 = s1 * (6.0 * s_val * s_val - 2.0) if pairs else None
+        # Gradient with respect to the pre-activation channels: each channel
+        # passes through tanh'; the products of the second-order channels
+        # feed the value and first-order channels too.
+        a_bar = g * s1
+        for c, u, v in pairs:
+            t = s3 * a[u]
+            t *= a[v]
+            t += s2 * a[c]
+            t *= g[c]
+            a_bar[0] += t
+            gs2 = g[c] * s2
+            a_bar[u] += gs2 * a[v]
+            a_bar[v] += gs2 * a[u]
+        for c in first:
+            t = g[c] * s2
+            t *= a[c]
+            a_bar[0] += t
 
-        W_grad = a_bar.T @ inp.z
-        for s in first_axes:
-            W_grad += da_bar[s].T @ inp.d1[s]
-        for key in second_keys:
-            W_grad += d2a_bar[key].T @ inp.d2[key]
-        b_grad = a_bar.sum(axis=0)
-        grads[l] = (W_grad, b_grad)
-
+        x = outs[l]
+        flat = a_bar.reshape(-1, a_bar.shape[2])
+        grads[l] = (flat.T @ x.reshape(-1, x.shape[2]), a_bar[0].sum(axis=0))
         if l > 0:
-            g_z = a_bar @ W
-            g_d1 = {s: da_bar[s] @ W for s in first_axes}
-            g_d2 = {key: d2a_bar[key] @ W for key in second_keys}
+            g = (flat @ params.weights[l]).reshape(x.shape)
     return grads
 
 
@@ -154,34 +112,32 @@ def _loss_and_gradient(
     problem: ProblemSpec,
     subdomain: SubdomainSpec,
     points: Array,
-    subspace_activation: str,
+    gradient: bool = True,
 ) -> tuple[float, list[tuple[Array, Array]]]:
-    states, u, derivs, r, first_axes, second_keys = _forward_residual(
-        params, problem, subdomain, points, subspace_activation
-    )
-    n, m = states[-1].z.shape
+    first_axes, second_keys, channel = _split_orders(problem.operator_orders(), params.input_dim)
+    outs, pres, pairs = forward_states(params, subdomain, points, first_axes, second_keys)
+    sums = outs[-1].sum(axis=-1)  # the solution's channels at unit coefficients
+    derivs = {alpha: sums[c] for alpha, c in channel.items() if c}
+    r = problem.residual(points, sums[0], derivs)
     loss = float(np.mean(r * r))
+    if not gradient:
+        return loss, []
 
-    weights = problem.residual_weights(points, u, derivs)
-    r_bar = (2.0 / n) * r
-    zero = (0,) * params.input_dim
+    r_bar = (2.0 / len(points)) * r
+    g = np.zeros((len(sums), len(points), 1))
+    for alpha, w in problem.residual_weights(points, sums[0], derivs).items():
+        g[channel[alpha], :, 0] += r_bar * w
+    return loss, _backward(params, outs, pres, g, pairs)
 
-    ones = np.ones((1, m))
-    g_z = (r_bar * weights[zero])[:, None] * ones
-    g_d1 = {s: np.zeros((n, m)) for s in first_axes}
-    g_d2 = {key: np.zeros((n, m)) for key in second_keys}
-    for alpha, w in weights.items():
-        if sum(alpha) == 0:
-            continue
-        key = _alpha_to_key(alpha)
-        seed = (r_bar * w)[:, None] * ones
-        if isinstance(key, int):
-            g_d1[key] += seed
-        else:
-            g_d2[key] += seed
 
-    grads = _backward(params, states, g_z, g_d1, g_d2, first_axes, second_keys)
-    return loss, grads
+def residual_loss(
+    params: NetworkParams,
+    problem: ProblemSpec,
+    subdomain: SubdomainSpec,
+    points: PointSet | Array,
+) -> float:
+    """Mean squared PDE residual over the point set, coefficients == 1."""
+    return _loss_and_gradient(params, problem, subdomain, _as_points(points), gradient=False)[0]
 
 
 def loss_gradient(
@@ -189,14 +145,9 @@ def loss_gradient(
     problem: ProblemSpec,
     subdomain: SubdomainSpec,
     points: PointSet | Array,
-    subspace_activation: str = "tanh",
 ) -> list[tuple[Array, Array]]:
     """Exact gradient of `residual_loss` for every weight matrix and bias."""
-    pts = points.points if isinstance(points, PointSet) else np.atleast_2d(points)
-    if pts.shape[0] == 0:
-        raise ValueError("gradient needs a nonempty point set")
-    _, grads = _loss_and_gradient(params, problem, subdomain, pts, subspace_activation)
-    return grads
+    return _loss_and_gradient(params, problem, subdomain, _as_points(points))[1]
 
 
 class _Adam:
@@ -225,14 +176,6 @@ class _Adam:
         return out
 
 
-def _flatten(params: NetworkParams) -> list[Array]:
-    out = []
-    for W, b in zip(params.weights, params.biases):
-        out.append(W)
-        out.append(b)
-    return out
-
-
 def _unflatten(values: list[Array]) -> NetworkParams:
     weights = tuple(values[0::2])
     biases = tuple(values[1::2])
@@ -245,7 +188,6 @@ def train_subdomain(
     subdomain: SubdomainSpec,
     points: PointSet | Array,
     config: TrainingConfig,
-    subspace_activation: str = "tanh",
     log_path=None,
 ) -> tuple[NetworkParams, int, float]:
     """Full-batch Adam on the residual loss with the relative stopping rule.
@@ -273,7 +215,7 @@ def train_subdomain(
             for epoch, loss in log_rows:
                 writer.writerow([epoch, f"{loss:.16e}"])
 
-    values = _flatten(params)
+    values = [v for layer in zip(params.weights, params.biases) for v in layer]
     adam = _Adam([v.shape for v in values], config.learning_rate)
 
     initial_loss: float | None = None
@@ -287,7 +229,7 @@ def train_subdomain(
                 current = _unflatten(values)
             except ValueError:
                 raise TrainingError(epoch - 1, float("nan")) from None
-            loss, grads = _loss_and_gradient(current, problem, subdomain, pts, subspace_activation)
+            loss, grads = _loss_and_gradient(current, problem, subdomain, pts)
             if not np.isfinite(loss):
                 raise TrainingError(epoch - 1, loss)
             if initial_loss is None:
@@ -299,17 +241,13 @@ def train_subdomain(
                 log(epoch - 1, loss)
                 if loss / initial_loss <= config.rel_tol:
                     return current, epoch - 1, loss / initial_loss
-            flat_grads = []
-            for W_g, b_g in grads:
-                flat_grads.append(W_g)
-                flat_grads.append(b_g)
-            values = adam.step(values, flat_grads)
+            values = adam.step(values, [g for layer in grads for g in layer])
 
         try:
             final = _unflatten(values)
         except ValueError:
             raise TrainingError(config.max_epochs, float("nan")) from None
-        loss = residual_loss(final, problem, subdomain, pts, subspace_activation)
+        loss = residual_loss(final, problem, subdomain, pts)
         if not np.isfinite(loss):
             raise TrainingError(config.max_epochs, loss)
         log(config.max_epochs, loss)

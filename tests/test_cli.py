@@ -38,10 +38,12 @@ def write_config(tmp_path, doc, name="config.json"):
 
 class TestConfigValidation:
     def test_unknown_top_level_key_rejected(self, tmp_path):
-        doc = tiny_config(tmp_path)
-        doc["typo_key"] = 1
-        with pytest.raises(ConfigError):
-            from_dict(doc)
+        # also the removed network.subspace_activation option
+        for section, key in ((None, "typo_key"), ("network", "subspace_activation")):
+            doc = tiny_config(tmp_path)
+            (doc if section is None else doc[section])[key] = "tanh"
+            with pytest.raises(ConfigError, match=key):
+                from_dict(doc)
 
     def test_counts_dimension_mismatch_names_field(self, tmp_path):
         doc = tiny_config(tmp_path)

@@ -111,13 +111,6 @@ class TestEvalBasis:
         with pytest.raises(KeyError):
             ev.deriv((2,))
 
-    def test_affine_subspace_mode(self):
-        params = NetworkParams((np.array([[2.0]]),), (np.array([0.5]),))
-        sub = subdomain([(-1.0, 1.0)])
-        ev = eval_basis(params, sub, np.array([[0.25]]), [(1,)], subspace_activation="affine")
-        assert ev.values[0, 0] == pytest.approx(1.0)
-        assert ev.deriv((1,))[0, 0] == pytest.approx(2.0)
-
 
 def finite_difference_check(params, sub, dim, rng, n_points=4):
     """First derivatives against value differences; second/mixed against

@@ -273,6 +273,23 @@ class TestNonlinearDrivers:
         assert not report.converged
         assert report.nonlinear_iters == 1
 
+    def test_picard_reports_residual_at_returned_beta(self):
+        pieces = (
+            builtin("nonlinear_helmholtz1d"),
+            PartitionSpec((2,)),
+            SamplingConfig(interior_counts=(30,), seed=1),
+            NetworkConfig(input_dim=1, hidden_widths=(10,), subspace_dim=20),
+            TrainingConfig(epochs_zero=True),
+        )
+        report = solve(
+            *pieces,
+            nonlinear=NonlinearConfig(method="picard", max_iters=3, tol=1e-14),
+            init_mode="uniform_range",
+        )
+        disc = Discretization(*pieces, init_mode="uniform_range")
+        assert report.nonlinear_residual_history
+        assert report.nonlinear_residual_history[-1] == disc.stacked_residual_norm(report.beta)
+
     @pytest.mark.parametrize("method", ["picard", "newton"])
     def test_non_finite_nonlinear_term_raises(self, method):
         nan = lambda pts, u, derivs: np.full(pts.shape[0], np.nan)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subspacepde.geometry import DomainSpec, PartitionSpec, partition, sample_interior
-from subspacepde.network import NetworkConfig, eval_basis, init_params
+from subspacepde.network import NetworkConfig, eval_basis, init_params, normalize
 from subspacepde.problems import LinearTerm, NonlinearTerm, ProblemSpec, builtin
 from subspacepde.training import (
     TrainingConfig,
@@ -50,6 +50,26 @@ def o1_2d_problem():
         source=lambda pts: np.cos(pts[:, 0]) * np.exp(-pts[:, 1]),
         boundary=lambda pts: np.zeros(pts.shape[0]),
         initial=lambda pts: np.sin(pts[:, 0]),
+        nonlinear=nonlinear,
+    )
+
+
+def mixed_2d_problem():
+    """u_xx + 0.3 u_xy - 0.7 u_yy + u^2 = f on a box: pure and mixed second derivatives."""
+    nonlinear = NonlinearTerm(
+        value=lambda pts, u, derivs: u * u,
+        partials={(0, 0): lambda pts, u, derivs: 2.0 * u},
+    )
+    return ProblemSpec(
+        name="mixed_2d",
+        domain=DomainSpec.box([(0.0, 1.0), (0.0, 2.0)]),
+        linear_terms=(
+            LinearTerm(1.0, (2, 0)),
+            LinearTerm(0.3, (1, 1)),
+            LinearTerm(-0.7, (0, 2)),
+        ),
+        source=lambda pts: np.sin(pts[:, 0]) * pts[:, 1],
+        boundary=lambda pts: np.zeros(pts.shape[0]),
         nonlinear=nonlinear,
     )
 
@@ -136,6 +156,66 @@ def gradient_fd_worst_ratio(problem, sub, pts, params, h=1e-6):
     return worst
 
 
+def per_channel_loss_gradient(params, problem, sub, pts):
+    """Loss gradient with one array per derivative channel and a loop per
+    channel, the layout before the channels were stacked; a reference."""
+    dim = params.input_dim
+    orders = problem.operator_orders()
+    key = {a: tuple(s for s in range(dim) for _ in range(a[s])) for a in orders}
+    first = sorted({s for k in key.values() for s in k})
+    second = sorted({k for k in key.values() if len(k) == 2})
+    z, chain = normalize(pts, sub)
+    d1 = {s: np.tile(chain[s] * np.eye(dim)[s], (len(z), 1)) for s in first}
+    d2 = {k: np.zeros_like(z) for k in second}
+    states = [(z, d1, d2, None, None)]
+    for W, b in zip(params.weights, params.biases):
+        da = {s: d1[s] @ W.T for s in first}
+        d2a = {k: d2[k] @ W.T for k in second}
+        z = np.tanh(z @ W.T + b)
+        s1 = 1.0 - z * z
+        s2 = -2.0 * z * s1
+        d1 = {s: s1 * da[s] for s in first}
+        d2 = {(u, v): s2 * da[u] * da[v] + s1 * d2a[(u, v)] for u, v in second}
+        states.append((z, d1, d2, da, d2a))
+
+    def channel(a, ch1, ch2, value):
+        k = key.get(a, ())
+        return value if not k else ch1[k[0]] if len(k) == 1 else ch2[k]
+
+    u = z.sum(axis=1)
+    derivs = {a: channel(a, d1, d2, None).sum(axis=1) for a in orders}
+    r_bar = (2.0 / len(pts)) * problem.residual(pts, u, derivs)
+    g_z = np.zeros_like(z)
+    g1 = {s: np.zeros_like(z) for s in first}
+    g2 = {k: np.zeros_like(z) for k in second}
+    for a, w in problem.residual_weights(pts, u, derivs).items():
+        channel(a, g1, g2, g_z)[...] += (r_bar * w)[:, None]
+
+    grads = []
+    for l in range(params.num_layers, 0, -1):
+        z, _, _, da, d2a = states[l]
+        z_in, d1_in, d2_in, _, _ = states[l - 1]
+        s1 = 1.0 - z * z
+        s2 = -2.0 * z * s1
+        s3 = s1 * (6.0 * z * z - 2.0)
+        a_bar = g_z * s1 + sum(g1[s] * s2 * da[s] for s in first)
+        da_bar = {s: g1[s] * s1 for s in first}
+        for u, v in second:
+            g = g2[(u, v)]
+            a_bar += g * (s3 * da[u] * da[v] + s2 * d2a[(u, v)])
+            da_bar[u] += g * s2 * da[v]
+            da_bar[v] += g * s2 * da[u]
+        d2a_bar = {k: g2[k] * s1 for k in second}
+        W_grad = a_bar.T @ z_in + sum(da_bar[s].T @ d1_in[s] for s in first)
+        W_grad = W_grad + sum(d2a_bar[k].T @ d2_in[k] for k in second)
+        grads.append((W_grad, a_bar.sum(axis=0)))
+        W = params.weights[l - 1]
+        g_z = a_bar @ W
+        g1 = {s: da_bar[s] @ W for s in first}
+        g2 = {k: d2a_bar[k] @ W for k in second}
+    return grads[::-1]
+
+
 class TestLossGradient:
     def test_zero_residual_is_stationary(self):
         problem = o1_problem(source=lambda pts: np.zeros(pts.shape[0]))
@@ -175,14 +255,38 @@ class TestLossGradient:
             params = init_params(cfg, "uniform_range", seed=[depth, case])
             assert gradient_fd_worst_ratio(problem, sub, pts.points, params) <= 1.0
 
-    def test_matches_finite_differences_nonlinear_2d(self):
-        problem = o1_2d_problem()
+    @pytest.mark.parametrize(
+        "make_problem", [o1_2d_problem, mixed_2d_problem], ids=["advection", "mixed"]
+    )
+    def test_matches_finite_differences_nonlinear_2d(self, make_problem):
+        problem = make_problem()
         subs, _ = partition(problem.domain, PartitionSpec((1, 1)))
         pts = sample_interior(subs[0], "uniform", [4, 4])
         cfg = NetworkConfig(input_dim=2, hidden_widths=(4,), subspace_dim=4)
         for case in range(3):
             params = init_params(cfg, "uniform_range", seed=case)
             assert gradient_fd_worst_ratio(problem, subs[0], pts.points, params) <= 1.0
+
+
+    @pytest.mark.parametrize(
+        "make_problem",
+        [o1_problem, o1_2d_problem, mixed_2d_problem],
+        ids=["helmholtz_1d", "advection", "mixed"],
+    )
+    def test_matches_per_channel_reference(self, make_problem):
+        problem = make_problem()
+        subs, _ = partition(problem.domain, PartitionSpec((1,) * problem.dim))
+        pts = sample_interior(subs[0], "uniform", [7] * problem.dim).points
+        cfg = NetworkConfig(input_dim=problem.dim, hidden_widths=(6, 5), subspace_dim=4)
+        params = init_params(cfg, "glorot", seed=3)
+        got = loss_gradient(params, problem, subs[0], pts)
+        want = per_channel_loss_gradient(params, problem, subs[0], pts)
+        # The stacked W_grad GEMM sums in another order than one product per
+        # channel, so the bound is set from float64 rounding, not equality.
+        for (W, b), (W_ref, b_ref) in zip(got, want):
+            scale = max(np.abs(W_ref).max(), np.abs(b_ref).max())
+            assert np.abs(W - W_ref).max() <= 1e-13 * scale
+            assert np.abs(b - b_ref).max() <= 1e-13 * scale
 
 
 class TestTrainSubdomain:
