@@ -5,9 +5,10 @@ to each subdomain's basis at interior points), boundary rows (basis values
 at boundary/initial points in the owning subdomain's column block), and
 continuity rows (+/- derivative blocks of the two subdomains sharing an
 interface).  Columns are per-subdomain blocks of width M, in subdomain
-order.  The system is solved in the minimum-norm least-squares sense with
-singular values below 1e-12 of the largest truncated; neural bases are
-often nearly dependent, so the truncation is what keeps the solve stable.
+order.  The system is solved in the minimum-norm least-squares sense by
+one LAPACK ``gelsd`` call, with singular values at or below 1e-12 of the
+largest truncated; neural bases are often nearly dependent, so the
+truncation is what keeps the solve stable.
 
 Nonlinear problems use one linearization of the PDE rows around the
 current iterate u: the nonlinear term N moves to the right-hand side at
@@ -26,7 +27,7 @@ independently of any network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ from .problems import ProblemSpec
 Array = NDArray[np.float64]
 MultiIndex = tuple[int, ...]
 
-# Relative singular-value cutoff for the rank-revealing solve.
+# Relative singular-value cutoff of the least-squares solve (gelsd's rcond).
 RCOND = 1e-12
 
 
@@ -259,45 +260,35 @@ def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> Glo
     return GlobalSystem(matrix=matrix, rhs=rhs, indexing=indexing)
 
 
-class CachedLstsq:
-    """Minimum-norm least squares with a reusable truncated SVD.
+@dataclass
+class LstsqLog:
+    """What each least-squares solve did, one entry per solve in order."""
 
-    Sweeps whose matrix does not change re-solve it against many
-    right-hand sides; factoring once makes each re-solve a pair of
-    matrix-vector products.
-    """
-
-    def __init__(self, matrix: Array):
-        if not np.isfinite(matrix).all():
-            raise ValueError("system matrix has non-finite entries")
-        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-        keep = s > RCOND * s[0] if s.size else np.zeros(0, dtype=bool)
-        self._u = u[:, keep]
-        self._inv_s = 1.0 / s[keep]
-        self._vt = vt[keep]
-        self.rank = int(keep.sum())
-
-    def solve(self, rhs: Array) -> Array:
-        return self._vt.T @ (self._inv_s * (self._u.T @ rhs))
+    residual: list[float] = field(default_factory=list)
+    rank: list[int] = field(default_factory=list)
+    sigma_max: list[float] = field(default_factory=list)
 
 
 def solve_least_squares(
-    system: GlobalSystem, factor: CachedLstsq | None = None
+    system: GlobalSystem, log: LstsqLog | None = None
 ) -> tuple[CoefficientVector, float]:
     """Minimum-norm least-squares solution and its residual 2-norm.
 
-    ``factor`` is a factorization of ``system.matrix`` to reuse; without
-    one the matrix is factored here.  Always the same truncated-SVD path,
-    so repeated solves of identical matrices return identical coefficients
-    (mixing SVD implementations picks different near-cutoff subspaces,
-    which shows up as noise on the reconstructed solution).
+    One LAPACK ``gelsd`` call: singular values at or below ``RCOND`` times
+    the largest are dropped, and U and V are never formed.  Every solve
+    goes through here, so identical matrices give identical coefficients
+    (SVD implementations keep different near-cutoff subspaces of a
+    rank-deficient matrix, which shows up as noise on the solution).
+    ``log`` receives the residual, numeric rank and largest singular value.
     """
-    if not np.isfinite(system.rhs).all():
+    if not (np.isfinite(system.matrix).all() and np.isfinite(system.rhs).all()):
         raise ValueError("system has non-finite entries")
-    if factor is None:
-        factor = CachedLstsq(system.matrix)
-    beta = factor.solve(system.rhs)
+    beta, _, rank, sigma = np.linalg.lstsq(system.matrix, system.rhs, rcond=RCOND)
     residual = float(np.linalg.norm(system.matrix @ beta - system.rhs))
+    if log is not None:
+        log.residual.append(residual)
+        log.rank.append(int(rank))
+        log.sigma_max.append(float(sigma[0]) if sigma.size else 0.0)
     return CoefficientVector(values=beta, block_size=system.indexing.block_size), residual
 
 

@@ -6,11 +6,13 @@ over them.  A linear problem is solved once.  A nonlinear problem is
 linearized around the current iterate (see `assembly`): the nonlinear term
 moves to the right-hand side, and the slots listed as ``live`` keep their
 partial derivatives in the matrix.  Picard sweeps keep live the
-derivatives the term reads (none for a value-only term, whose matrix is
-then constant and factored once); Newton steps keep every slot with a
-partial.  Iteration starts from one Picard sweep at the trained networks'
-unit-coefficient output; Newton runs a few Picard sweeps first, because
-that raw output ignores boundary data.
+derivatives the term reads; Newton steps keep every slot with a partial.
+Every sweep, linear, Picard or Newton, ends in the same least-squares
+solve (`assembly.solve_least_squares`), so an unchanged system gives
+unchanged coefficients whichever method posed it.  Iteration starts from
+one Picard sweep at the trained networks' unit-coefficient output; Newton
+runs a few Picard sweeps first, because that raw output ignores boundary
+data.
 
 Non-convergence of an iteration is reported, not raised: the best iterate
 comes back with ``converged=False``.
@@ -27,9 +29,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .assembly import (
-    CachedLstsq,
     GlobalIndexing,
     GlobalSystem,
+    LstsqLog,
     assemble_boundary_rows,
     assemble_continuity_rows,
     assemble_global,
@@ -108,6 +110,9 @@ class NonlinearConfig:
 class SolveReport:
     """Everything a solve produced, ready for serialization.
 
+    ``ls_residual_history``, ``ls_rank_history`` and
+    ``ls_sigma_max_history`` hold one entry per least-squares solve: its
+    residual 2-norm, numeric rank and largest singular value.
     ``nonlinear_residual_history`` holds the 2-norm of the stacked
     nonlinear residual before each Newton step and, for both methods, at
     the returned iterate last.  ``samples`` holds the evaluation-grid
@@ -129,6 +134,8 @@ class SolveReport:
     warmup_iters_used: int
     converged: bool
     ls_residual_history: list[float]
+    ls_rank_history: list[int]
+    ls_sigma_max_history: list[float]
     nonlinear_residual_history: list[float]
     ls_residual_rms: float
     interface_jump_max: float
@@ -164,6 +171,8 @@ class SolveReport:
             "warmup_iters_used": self.warmup_iters_used,
             "converged": self.converged,
             "ls_residual_history": self.ls_residual_history,
+            "ls_rank_history": self.ls_rank_history,
+            "ls_sigma_max_history": self.ls_sigma_max_history,
             "nonlinear_residual_history": self.nonlinear_residual_history,
             "ls_residual_rms": self.ls_residual_rms,
             "interface_jump_max": self.interface_jump_max,
@@ -425,7 +434,7 @@ def _finish_report(
     *,
     method: str,
     rows: int,
-    ls_history: list[float],
+    ls_log: LstsqLog,
     nonlinear_history: list[float],
     nonlinear_iters: int,
     warmup_used: int,
@@ -461,7 +470,9 @@ def _finish_report(
         nonlinear_iters=nonlinear_iters,
         warmup_iters_used=warmup_used,
         converged=converged,
-        ls_residual_history=ls_history,
+        ls_residual_history=ls_log.residual,
+        ls_rank_history=ls_log.rank,
+        ls_sigma_max_history=ls_log.sigma_max,
         nonlinear_residual_history=nonlinear_history,
         ls_residual_rms=float(rms),
         interface_jump_max=disc.interface_jump_max(beta),
@@ -474,19 +485,17 @@ def _iterate(
     disc: Discretization,
     beta: CoefficientVector,
     live: Sequence,
-    factor: CachedLstsq | None,
     max_iters: int,
     tol: float,
-    ls_history: list[float],
+    ls_log: LstsqLog,
     residual_history: list[float] | None = None,
 ) -> tuple[CoefficientVector, int, bool]:
     """Re-solve the system linearized at the iterate until it settles.
 
     Converged means a sweep moved the interior solution by at most ``tol``
     in the sup-norm; otherwise the best iterate seen (smallest update)
-    comes back.  With no live slot the matrix does not depend on the
-    iterate, so ``factor`` (made on the first sweep when None) serves every
-    sweep; otherwise each sweep factors its own matrix and drops it.
+    comes back.  Each sweep assembles its own system and solves it with
+    `solve_least_squares`, which logs the solve in ``ls_log``.
     ``residual_history`` collects the stacked nonlinear residual before
     each sweep; with it, the converging sweep is kept only if it does not
     raise that residual.  Its step is below ``tol``, so either iterate is a
@@ -501,12 +510,9 @@ def _iterate(
         if residual_history is not None:
             residual_history.append(disc.stacked_residual_norm(beta, solution))
         system = disc.assemble_linear_system(solution, live)
-        if factor is None and not live:
-            factor = CachedLstsq(system.matrix)
         previous = beta
-        beta, residual = solve_least_squares(system, factor)
+        beta, _ = solve_least_squares(system, ls_log)
         del system
-        ls_history.append(residual)
         u_new = disc.interior_values_flat(beta)
         delta = float(np.max(np.abs(u_new - u_prev)))
         u_prev = u_new
@@ -559,29 +565,24 @@ def solve(
         dump_system(system, dump_path)
 
     t0 = time.perf_counter()
-    factor = None if picard else CachedLstsq(system.matrix)
-    beta, residual = solve_least_squares(system, factor)
+    ls_log = LstsqLog()
+    beta, _ = solve_least_squares(system, ls_log)
     del system
-    ls_history = [residual]
     nonlinear_history: list[float] = []
     iters = warmup_used = 0
     converged = True
-    final_residual = residual
     newton = nonlinear is not None and nonlinear.method == "newton"
     if nonlinear is not None:
         sweeps = nonlinear.picard_warmup_iters if newton else nonlinear.max_iters
-        beta, iters, converged = _iterate(
-            disc, beta, picard, factor, sweeps, nonlinear.tol, ls_history
-        )
-        final_residual = ls_history[-1]
+        beta, iters, converged = _iterate(disc, beta, picard, sweeps, nonlinear.tol, ls_log)
         if not newton:
             nonlinear_history.append(disc.stacked_residual_norm(beta))
-    del factor  # hold no factorization through Newton's own or the evaluation
+    final_residual = ls_log.residual[-1]
     if newton:
         warmup_used = iters
         beta, iters, converged = _iterate(
-            disc, beta, tuple(term.partials), None, nonlinear.max_iters, nonlinear.tol,
-            ls_history, nonlinear_history,
+            disc, beta, tuple(term.partials), nonlinear.max_iters, nonlinear.tol,
+            ls_log, nonlinear_history,
         )
         # Stacked nonlinear residual at the final iterate, for reporting the
         # quality the continuity rows were solved to.
@@ -599,7 +600,7 @@ def solve(
         beta,
         method="linear" if nonlinear is None else nonlinear.method,
         rows=rows,
-        ls_history=ls_history,
+        ls_log=ls_log,
         nonlinear_history=nonlinear_history,
         nonlinear_iters=iters,
         warmup_used=warmup_used,

@@ -7,6 +7,7 @@ import pytest
 
 from subspacepde.assembly import (
     GlobalIndexing,
+    LstsqLog,
     RowBlock,
     assemble_boundary_rows,
     assemble_continuity_rows,
@@ -408,6 +409,29 @@ class TestSolveLeastSquares:
         A = np.array([[np.nan]])
         with pytest.raises(ValueError):
             solve_least_squares(self.system(A, [1.0]))
+
+    def test_log_reports_rank_and_sigma_max(self):
+        log = LstsqLog()
+        _, resid = solve_least_squares(self.system(np.array([[1.0, 1.0]]), [2.0]), log)
+        solve_least_squares(self.system(np.eye(2), [1.0, 1.0]), log)
+        assert len(log.residual) == len(log.rank) == len(log.sigma_max) == 2
+        assert log.residual[0] == resid
+        assert log.rank == [1, 2]
+        assert log.sigma_max == pytest.approx([np.sqrt(2.0), 1.0])
+
+    def test_cutoff_keeps_1e11_and_drops_1e13(self):
+        # RCOND = 1e-12 relative: the third singular value stays, the fourth goes
+        rng = np.random.default_rng(11)
+        q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        A = q1 @ np.diag([1.0, 1e-6, 1e-11, 1e-13]) @ q2.T
+        b = rng.normal(size=4)
+        log = LstsqLog()
+        beta, _ = solve_least_squares(self.system(A, b), log)
+        u, s, vt = np.linalg.svd(A)
+        expected = vt[:3].T @ ((u[:, :3].T @ b) / s[:3])
+        assert log.rank == [3]
+        assert np.linalg.norm(beta.values - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestPolynomialOracle:

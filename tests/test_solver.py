@@ -7,6 +7,7 @@ import pytest
 
 from subspacepde.assembly import (
     GlobalIndexing,
+    LstsqLog,
     assemble_boundary_rows,
     assemble_global,
     assemble_pde_rows,
@@ -105,6 +106,19 @@ class TestSolveLinear:
         report = solve(**tiny_linear_setup(), init_mode="uniform_range")
         assert report.interface_jump_max <= 10 * report.ls_residual_rms
 
+    @pytest.mark.parametrize("method", [None, "picard", "newton"])
+    def test_least_squares_histories_aligned(self, method):
+        setup = tiny_linear_setup()
+        nonlinear = None
+        if method is not None:
+            setup["problem"] = linear_as_nonlinear(setup["problem"])
+            nonlinear = NonlinearConfig(method=method, max_iters=3, tol=1e-10)
+        doc = solve(**setup, nonlinear=nonlinear, init_mode="uniform_range").to_json_dict()
+        ranks, sigmas = doc["ls_rank_history"], doc["ls_sigma_max_history"]
+        assert len(ranks) == len(sigmas) == len(doc["ls_residual_history"]) >= 1
+        assert all(isinstance(r, int) and 0 < r <= doc["columns"] for r in ranks)
+        assert all(s > 0 for s in sigmas)
+
 
 class TestDegeneration:
     def test_single_subdomain_system_matches_direct_assembly(self):
@@ -198,6 +212,19 @@ class TestNonlinearDrivers:
             newton.beta.values, linear_report.beta.values, atol=1e-8
         )
 
+    def test_every_method_solves_through_one_routine(self):
+        # a zero nonlinearity poses the linear system bit for bit, so only a
+        # second least-squares implementation could move beta
+        setup = tiny_linear_setup()
+        linear = solve(**setup, init_mode="uniform_range").beta.values
+        setup["problem"] = linear_as_nonlinear(setup["problem"])
+        for config in (
+            NonlinearConfig(method="picard", max_iters=10, tol=1e-10),
+            NonlinearConfig(method="newton", max_iters=5, tol=1e-10, picard_warmup_iters=0),
+        ):
+            report = solve(**setup, nonlinear=config, init_mode="uniform_range")
+            assert np.array_equal(report.beta.values, linear), config.method
+
     def test_picard_requires_nonlinear_problem(self):
         setup = tiny_linear_setup()
         with pytest.raises(ValueError):
@@ -234,10 +261,10 @@ class TestNonlinearDrivers:
         tol = 1e-6
         system = disc.assemble_linear_system(disc.network_output_with_unit_coefficients())
         beta, _ = solve_least_squares(system)
-        beta, _, converged = _iterate(disc, beta, (), None, 15, tol, [])
+        beta, _, converged = _iterate(disc, beta, (), 15, tol, LstsqLog())
         assert converged
         u_before = disc.interior_values_flat(beta)
-        beta, _, _ = _iterate(disc, beta, (), None, 1, 0.0, [])
+        beta, _, _ = _iterate(disc, beta, (), 1, 0.0, LstsqLog())
         u_after = disc.interior_values_flat(beta)
         assert np.max(np.abs(u_after - u_before)) <= tol
 
@@ -255,7 +282,7 @@ class TestNonlinearDrivers:
         monkeypatch.setattr(disc, "stacked_residual_norm", lambda b, s=None: next(values))
         history = []
         live = tuple(problem.nonlinear.partials)
-        out, sweeps, converged = _iterate(disc, beta, live, None, 5, 1e-6, [], history)
+        out, sweeps, converged = _iterate(disc, beta, live, 5, 1e-6, LstsqLog(), history)
         assert converged and sweeps == 1
         assert (out is not beta) == keeps_new
 
