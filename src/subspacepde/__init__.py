@@ -49,7 +49,6 @@ from .problems import (
     ProblemSpec,
     builtin,
     error_norms,
-    residual_at,
 )
 from .solver import (
     EvaluationSpec,
@@ -98,7 +97,6 @@ __all__ = [
     "loss_gradient",
     "normalize",
     "partition",
-    "residual_at",
     "residual_loss",
     "sample_boundary",
     "sample_interface",

@@ -5,10 +5,14 @@ to each subdomain's basis at interior points), boundary rows (basis values
 at boundary/initial points in the owning subdomain's column block), and
 continuity rows (+/- derivative blocks of the two subdomains sharing an
 interface).  Columns are per-subdomain blocks of width M, in subdomain
-order.  The system is solved in the minimum-norm least-squares sense by
-one LAPACK ``gelsd`` call, with singular values at or below 1e-12 of the
-largest truncated; neural bases are often nearly dependent, so the
-truncation is what keeps the solve stable.
+order.  Each batch of rows is a `RowBlock` of dense pieces placed in the
+column blocks they touch; `RowBlock.matvec` is the one product of those
+rows with the coefficients, and the dense system is formed only for the
+least-squares solve and `dump_system`.  The system is solved in the
+minimum-norm least-squares sense by one LAPACK ``gelsd`` call, with
+singular values at or below 1e-12 of the largest truncated; neural bases
+are often nearly dependent, so the truncation is what keeps the solve
+stable.
 
 Nonlinear problems use one linearization of the PDE rows around the
 current iterate u: the nonlinear term N moves to the right-hand side at
@@ -67,14 +71,23 @@ class _Piece:
     col_start: int
     values: Array
 
+    @property
+    def rows(self) -> slice:
+        return slice(self.row_start, self.row_start + self.values.shape[0])
+
+    @property
+    def cols(self) -> slice:
+        return slice(self.col_start, self.col_start + self.values.shape[1])
+
 
 @dataclass
 class RowBlock:
     """A batch of rows of the global system, stored block-sparse.
 
     Each piece is a dense local matrix placed at (row_start, col_start);
-    PDE and boundary rows touch one column block, continuity rows exactly
-    two with opposite signs.
+    PDE rows touch one column block, boundary rows one per contiguous run
+    of points with the same owner, and continuity rows exactly two with
+    opposite signs.  Products with the rows come from the pieces alone.
     """
 
     kind: str
@@ -83,13 +96,21 @@ class RowBlock:
     rhs: Array
     pieces: list[_Piece]
 
+    def matvec(self, beta: Array) -> Array:
+        """The rows times the stacked coefficients, each piece added into its rows."""
+        out = np.zeros(self.n_rows)
+        for piece in self.pieces:
+            out[piece.rows] += piece.values @ beta[piece.cols]
+        return out
+
+    def place(self, out: Array) -> None:
+        """Write the pieces into ``out``, a zeroed (n_rows, width) array or row slice."""
+        for piece in self.pieces:
+            out[piece.rows, piece.cols] = piece.values
+
     def to_dense(self) -> Array:
         out = np.zeros((self.n_rows, self.width))
-        for piece in self.pieces:
-            r, c = piece.values.shape
-            out[piece.row_start : piece.row_start + r, piece.col_start : piece.col_start + c] = (
-                piece.values
-            )
+        self.place(out)
         return out
 
 
@@ -250,12 +271,7 @@ def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> Glo
     for i in order:
         block = blocks[i]
         rhs[row : row + block.n_rows] = block.rhs
-        for piece in block.pieces:
-            r, c = piece.values.shape
-            matrix[
-                row + piece.row_start : row + piece.row_start + r,
-                piece.col_start : piece.col_start + c,
-            ] = piece.values
+        block.place(matrix[row : row + block.n_rows])
         row += block.n_rows
     return GlobalSystem(matrix=matrix, rhs=rhs, indexing=indexing)
 

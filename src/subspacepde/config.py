@@ -27,6 +27,8 @@ class ConfigError(ValueError):
 
 
 _COUNTS = {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1}
+# Sampling counts include both endpoints of every axis.
+_SAMPLE_COUNTS = {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1}
 
 _CUSTOM_PROBLEM_SCHEMA = {
     "type": "object",
@@ -103,9 +105,9 @@ SCHEMA = {
             "required": ["counts"],
             "properties": {
                 "strategy": {"enum": ["uniform", "gauss", "random"]},
-                "counts": _COUNTS,
-                "boundary_counts": _COUNTS,
-                "interface_counts": _COUNTS,
+                "counts": _SAMPLE_COUNTS,
+                "boundary_counts": _SAMPLE_COUNTS,
+                "interface_counts": _SAMPLE_COUNTS,
                 "seed": {"type": "integer", "minimum": 0},
             },
         },
@@ -272,8 +274,6 @@ def from_dict(doc: dict) -> RunConfig:
     for key in ("counts", "boundary_counts", "interface_counts"):
         if key in sampling_doc and len(sampling_doc[key]) != dim:
             raise ConfigError(f"sampling.{key}: needs {dim} entries")
-    if any(c < 2 for c in sampling_doc["counts"]):
-        raise ConfigError("sampling.counts: per-axis counts must be >= 2")
     sampling = SamplingConfig(
         interior_counts=tuple(sampling_doc["counts"]),
         strategy=sampling_doc.get("strategy", "uniform"),

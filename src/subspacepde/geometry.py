@@ -56,10 +56,6 @@ class DomainSpec:
                 return s
         return None
 
-    def measure(self) -> float:
-        widths = [hi - lo for lo, hi in self.axes]
-        return float(np.prod(widths))
-
     @staticmethod
     def interval(lo: float, hi: float) -> "DomainSpec":
         return DomainSpec(((lo, hi),), (SPATIAL,))
@@ -108,9 +104,6 @@ class SubdomainSpec:
     def width(self, axis: int) -> float:
         lo, hi = self.bounds[axis]
         return hi - lo
-
-    def measure(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in self.bounds]))
 
     def contains(self, points: Array, tol: float = CONTAINMENT_TOL) -> NDArray[np.bool_]:
         """Closed containment check, vectorized over points of shape (n, dim)."""

@@ -14,7 +14,6 @@ scalar contraction to values and derivative blocks alike.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -91,29 +90,6 @@ class NetworkParams:
     @property
     def subspace_dim(self) -> int:
         return self.weights[-1].shape[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "layers": [
-                {"weights": W.tolist(), "bias": b.tolist()}
-                for W, b in zip(self.weights, self.biases)
-            ]
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "NetworkParams":
-        weights = tuple(np.asarray(layer["weights"], dtype=float) for layer in doc["layers"])
-        biases = tuple(np.asarray(layer["bias"], dtype=float) for layer in doc["layers"])
-        return NetworkParams(weights=weights, biases=biases)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @staticmethod
-    def load(path) -> "NetworkParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return NetworkParams.from_json_dict(json.load(fh))
 
 
 def init_params(config: NetworkConfig, mode: str = "glorot", seed: int = 0) -> NetworkParams:

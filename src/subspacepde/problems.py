@@ -166,20 +166,6 @@ def _lookup_deriv(derivs: Mapping[MultiIndex, Array], alpha: MultiIndex) -> Arra
         raise KeyError(f"residual evaluation is missing the derivative {alpha}") from None
 
 
-def residual_at(
-    problem: ProblemSpec,
-    u_value: float | Array,
-    u_derivs: Mapping[MultiIndex, float | Array],
-    point: Array,
-) -> float | Array:
-    """Pointwise residual of the full (linear + nonlinear) equation."""
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    u = np.atleast_1d(np.asarray(u_value, dtype=float))
-    derivs = {tuple(k): np.atleast_1d(np.asarray(v, dtype=float)) for k, v in u_derivs.items()}
-    res = problem.residual(pts, u, derivs)
-    return float(res[0]) if np.ndim(point) <= 1 else res
-
-
 @dataclass(frozen=True)
 class ErrorNorms:
     """Discrete error norms over an evaluation grid.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -149,36 +149,11 @@ class SolveReport:
         return float(np.mean(self.epochs_per_subdomain))
 
     def to_json_dict(self) -> dict:
-        norms = None
-        if self.norms is not None:
-            norms = {
-                "l2_abs": self.norms.l2_abs,
-                "l2_rel": self.norms.l2_rel,
-                "linf": self.norms.linf,
-            }
-        return {
-            "problem": self.problem,
-            "method": self.method,
-            "num_subdomains": self.num_subdomains,
-            "subspace_dim": self.subspace_dim,
-            "rows": self.rows,
-            "columns": self.columns,
-            "norms": norms,
-            "epochs_per_subdomain": self.epochs_per_subdomain,
-            "epochs_mean": self.epochs_mean,
-            "final_rel_losses": self.final_rel_losses,
-            "nonlinear_iters": self.nonlinear_iters,
-            "warmup_iters_used": self.warmup_iters_used,
-            "converged": self.converged,
-            "ls_residual_history": self.ls_residual_history,
-            "ls_rank_history": self.ls_rank_history,
-            "ls_sigma_max_history": self.ls_sigma_max_history,
-            "nonlinear_residual_history": self.nonlinear_residual_history,
-            "ls_residual_rms": self.ls_residual_rms,
-            "interface_jump_max": self.interface_jump_max,
-            "beta": self.beta.values.tolist(),
-            "wall_times": self.wall_times,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
+        doc["beta"] = self.beta.values.tolist()
+        doc["norms"] = None if self.norms is None else asdict(self.norms)
+        doc["epochs_mean"] = self.epochs_mean
+        return doc
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -189,9 +164,12 @@ class SolveReport:
 class Discretization:
     """Shared state of one solve: partition, samples, trained bases, rows.
 
-    Building it runs the whole training phase; the boundary and continuity
-    row blocks it caches are reused across nonlinear iterations (only the
-    PDE rows are rebuilt).
+    Building it runs the whole training phase, then evaluates the bases.
+    The interior evaluations are kept for the PDE rows, which nonlinear
+    iterations rebuild; the boundary and interface evaluations go straight
+    into the boundary and continuity row blocks, which are reused as they
+    are.  Those blocks' `RowBlock.matvec` gives the boundary residual and
+    the interface jumps.
     """
 
     def __init__(
@@ -262,13 +240,12 @@ class Discretization:
         self.train_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        self._build_evals()
-        self._build_static_blocks()
+        self._build_evals_and_static_blocks()
         self.assemble_seconds = time.perf_counter() - t0
 
-    # -- basis evaluation caches ------------------------------------------
+    # -- basis evaluation and static rows ---------------------------------
 
-    def _build_evals(self) -> None:
+    def _build_evals_and_static_blocks(self) -> None:
         problem = self.problem
         orders = problem.operator_orders()
         self.interior_evals: list[BasisEval] = [
@@ -276,40 +253,31 @@ class Discretization:
             for sub, pts in zip(self.subdomains, self.interior)
         ]
 
-        n_bnd = len(self.boundary)
-        self.boundary_values = np.zeros((n_bnd, self.network.subspace_dim))
-        if n_bnd:
+        boundary_values = np.zeros((len(self.boundary), self.network.subspace_dim))
+        if len(self.boundary):
             owners = self.boundary.owners
             for sub in self.subdomains:
                 mask = owners == sub.index
                 if mask.any():
                     ev = eval_basis(self.params[sub.index], sub, self.boundary.points[mask])
-                    self.boundary_values[mask] = ev.values
+                    boundary_values[mask] = ev.values
+        self.boundary_block = assemble_boundary_rows(
+            problem, self.indexing, self.boundary, boundary_values
+        )
 
-        self.interface_evals: list[tuple[BasisEval, BasisEval]] = []
+        self.continuity_blocks = []
         for iface, pts in zip(self.interfaces, self.interface_points):
             alphas = [
                 tuple(order if s == iface.axis else 0 for s in range(problem.dim))
                 for order in range(1, iface.continuity_order + 1)
             ]
-            left = eval_basis(
-                self.params[iface.left], self.subdomains[iface.left], pts.points, alphas
+            left, right = (
+                eval_basis(self.params[k], self.subdomains[k], pts.points, alphas)
+                for k in (iface.left, iface.right)
             )
-            right = eval_basis(
-                self.params[iface.right], self.subdomains[iface.right], pts.points, alphas
+            self.continuity_blocks.append(
+                assemble_continuity_rows(iface, self.indexing, pts, left, right)
             )
-            self.interface_evals.append((left, right))
-
-    def _build_static_blocks(self) -> None:
-        self.boundary_block = assemble_boundary_rows(
-            self.problem, self.indexing, self.boundary, self.boundary_values
-        )
-        self.continuity_blocks = [
-            assemble_continuity_rows(iface, self.indexing, pts, left, right)
-            for iface, pts, (left, right) in zip(
-                self.interfaces, self.interface_points, self.interface_evals
-            )
-        ]
 
     # -- solution evaluation ----------------------------------------------
 
@@ -329,9 +297,6 @@ class Discretization:
             for sub, ev in zip(self.subdomains, self.interior_evals)
         ]
 
-    def interior_values_flat(self, beta: CoefficientVector) -> Array:
-        return np.concatenate([ev.values @ beta.block(sub.index) for sub, ev in zip(self.subdomains, self.interior_evals)])
-
     def assemble_linear_system(self, solution=None, live: Sequence = ()) -> GlobalSystem:
         """The global system, its PDE rows linearized at ``solution`` when given.
 
@@ -346,34 +311,9 @@ class Discretization:
             )
         return assemble_global(blocks + [self.boundary_block] + self.continuity_blocks, self.indexing)
 
-    def boundary_matvec(self, beta: CoefficientVector) -> Array:
-        out = np.zeros(len(self.boundary))
-        if len(self.boundary):
-            owners = self.boundary.owners
-            for sub in self.subdomains:
-                mask = owners == sub.index
-                if mask.any():
-                    out[mask] = self.boundary_values[mask] @ beta.block(sub.index)
-        return out
-
-    def continuity_jumps(self, beta: CoefficientVector) -> list[Array]:
-        """Per-interface stacked jump values (order-major) at the interface points."""
-        jumps = []
-        for iface, (left, right) in zip(self.interfaces, self.interface_evals):
-            bl = beta.block(iface.left)
-            br = beta.block(iface.right)
-            rows = [left.values @ bl - right.values @ br]
-            for order in range(1, iface.continuity_order + 1):
-                alpha = tuple(order if s == iface.axis else 0 for s in range(self.problem.dim))
-                rows.append(left.deriv(alpha) @ bl - right.deriv(alpha) @ br)
-            jumps.append(np.concatenate(rows))
-        return jumps
-
     def interface_jump_max(self, beta: CoefficientVector) -> float:
-        jumps = self.continuity_jumps(beta)
-        if not jumps:
-            return 0.0
-        return float(max(np.max(np.abs(j)) for j in jumps))
+        jumps = [np.max(np.abs(block.matvec(beta.values))) for block in self.continuity_blocks]
+        return float(max(jumps, default=0.0))
 
     def stacked_residual_norm(self, beta: CoefficientVector, solution=None) -> float:
         """2-norm of the full nonlinear system residual at the iterate."""
@@ -383,8 +323,10 @@ class Discretization:
             self.problem.residual(pts.points, u, derivs)
             for pts, (u, derivs) in zip(self.interior, solution)
         ]
-        parts.append(self.boundary_matvec(beta) - self.boundary_block.rhs)
-        parts.extend(self.continuity_jumps(beta))
+        parts.extend(
+            block.matvec(beta.values) - block.rhs
+            for block in [self.boundary_block, *self.continuity_blocks]
+        )
         return float(np.linalg.norm(np.concatenate(parts)))
 
 
@@ -495,7 +437,9 @@ def _iterate(
     Converged means a sweep moved the interior solution by at most ``tol``
     in the sup-norm; otherwise the best iterate seen (smallest update)
     comes back.  Each sweep assembles its own system and solves it with
-    `solve_least_squares`, which logs the solve in ``ls_log``.
+    `solve_least_squares`, which logs the solve in ``ls_log``.  The
+    interior solution is evaluated once per iterate; that one evaluation
+    gives the update size, the residual and the next linearization.
     ``residual_history`` collects the stacked nonlinear residual before
     each sweep; with it, the converging sweep is kept only if it does not
     raise that residual.  Its step is below ``tol``, so either iterate is a
@@ -503,24 +447,23 @@ def _iterate(
     decides which has the smaller residual.  Returns (beta, sweeps used,
     converged).
     """
-    u_prev = disc.interior_values_flat(beta)
+    solution = disc.interior_solution(beta)
     best = (np.inf, beta)
     for sweep in range(1, max_iters + 1):
-        solution = disc.interior_solution(beta)
         if residual_history is not None:
             residual_history.append(disc.stacked_residual_norm(beta, solution))
         system = disc.assemble_linear_system(solution, live)
         previous = beta
         beta, _ = solve_least_squares(system, ls_log)
         del system
-        u_new = disc.interior_values_flat(beta)
-        delta = float(np.max(np.abs(u_new - u_prev)))
-        u_prev = u_new
+        u_prev = np.concatenate([u for u, _ in solution])
+        solution = disc.interior_solution(beta)
+        delta = float(np.max(np.abs(np.concatenate([u for u, _ in solution]) - u_prev)))
         if delta < best[0]:
             best = (delta, beta)
         if delta <= tol:
             if residual_history is not None and (
-                disc.stacked_residual_norm(beta) > residual_history[-1]
+                disc.stacked_residual_norm(beta, solution) > residual_history[-1]
             ):
                 beta = previous
             return beta, sweep, True

@@ -282,6 +282,52 @@ class TestContinuityRows:
         np.testing.assert_allclose(block.to_dense() @ beta, 0.0, atol=1e-14)
 
 
+class TestRowBlockMatvec:
+    """The block product against the dense rows it stands for."""
+
+    def random_eval(self, rng, n, M, orders):
+        return BasisEval(
+            values=rng.normal(size=(n, M)),
+            derivs={alpha: rng.normal(size=(n, M)) for alpha in orders},
+        )
+
+    def test_continuity_block_matches_dense(self):
+        rng = np.random.default_rng(3)
+        iface = InterfaceSpec(
+            left=0, right=2, axis=0, facet_bounds=((1.0, 1.0),), continuity_order=1
+        )
+        indexing = GlobalIndexing(3, 4)
+        pts = np.linspace(0.0, 1.0, 5)[:, None]
+        left, right = (self.random_eval(rng, 5, 4, [(1,)]) for _ in range(2))
+        block = assemble_continuity_rows(iface, indexing, pts, left, right)
+        beta = rng.normal(size=indexing.width)
+        out = block.matvec(beta)
+        np.testing.assert_allclose(out, block.to_dense() @ beta, rtol=1e-14, atol=0)
+        # order-major rows: all value jumps, then all first-derivative jumps
+        bl, br = beta[0:4], beta[8:12]
+        np.testing.assert_allclose(out[:5], left.values @ bl - right.values @ br, rtol=1e-14)
+        np.testing.assert_allclose(
+            out[5:], left.deriv((1,)) @ bl - right.deriv((1,)) @ br, rtol=1e-14
+        )
+
+    def test_boundary_block_with_three_owner_runs(self):
+        rng = np.random.default_rng(4)
+        owners = np.array([0, 0, 1, 1, 1, 2])
+        pts = PointSet(
+            points=np.linspace(0.0, 2.0, 6)[:, None],
+            kind="boundary",
+            owners=owners,
+            initial_mask=np.zeros(6, dtype=bool),
+        )
+        indexing = GlobalIndexing(3, 4)
+        block = assemble_boundary_rows(helmholtz_like(), indexing, pts, rng.normal(size=(6, 4)))
+        assert len(block.pieces) == 3
+        beta = rng.normal(size=indexing.width)
+        np.testing.assert_allclose(
+            block.matvec(beta), block.to_dense() @ beta, rtol=1e-14, atol=0
+        )
+
+
 class TestAssembleGlobal:
     def test_single_block_round_trip(self):
         problem = helmholtz_like()

@@ -129,6 +129,19 @@ class TestSolveCommand:
         assert main(["solve", cfg]) == 2
         assert "partition.counts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["counts", "boundary_counts", "interface_counts"])
+    def test_sampling_count_below_two_is_config_error(self, tmp_path, capsys, key):
+        doc = tiny_config(
+            tmp_path,
+            problem="poisson2d",
+            partition={"counts": [2, 2]},
+            sampling={"counts": [6, 6], "seed": 202},
+            evaluation={"counts": [11, 11]},
+        )
+        doc["sampling"][key] = [1, 1]
+        assert main(["solve", write_config(tmp_path, doc)]) == 2
+        assert f"sampling.{key}" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         doc = tiny_config(tmp_path)
         # training on a NaN source diverges immediately

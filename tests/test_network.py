@@ -224,31 +224,7 @@ class TestEvalSolution:
             eval_solution(ev, np.zeros(7))
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        cfg = NetworkConfig(input_dim=2, hidden_widths=(5, 3), subspace_dim=4)
-        params = init_params(cfg, "glorot", seed=11)
-        path = tmp_path / "params.json"
-        params.save(path)
-        loaded = NetworkParams.load(path)
-        for Wa, Wb in zip(params.weights, loaded.weights):
-            np.testing.assert_array_equal(Wa, Wb)
-        for ba, bb in zip(params.biases, loaded.biases):
-            np.testing.assert_array_equal(ba, bb)
-
-    def test_reloaded_params_evaluate_identically(self, tmp_path):
-        cfg = NetworkConfig(input_dim=1, hidden_widths=(6,), subspace_dim=5)
-        params = init_params(cfg, "uniform_range", seed=4)
-        path = tmp_path / "params.json"
-        params.save(path)
-        loaded = NetworkParams.load(path)
-        sub = subdomain([(0.0, 1.0)])
-        pts = np.linspace(0, 1, 9)[:, None]
-        a = eval_basis(params, sub, pts, [(2,)])
-        b = eval_basis(loaded, sub, pts, [(2,)])
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.deriv((2,)), b.deriv((2,)))
-
+class TestNetworkParams:
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ValueError):
             NetworkParams((np.zeros((3, 2)), np.zeros((4, 5))), (np.zeros(3), np.zeros(4)))

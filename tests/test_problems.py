@@ -11,7 +11,6 @@ from subspacepde.problems import (
     ProblemSpec,
     builtin,
     error_norms,
-    residual_at,
 )
 
 
@@ -133,25 +132,28 @@ class TestManufacturedConsistency:
 
 
 class TestResidualAt:
+    """`ProblemSpec.residual` at single points with plugged-in values."""
+
     def test_zero_function_on_helmholtz(self):
         p = builtin("helmholtz1d")
-        x = np.array([1.3])
-        res = residual_at(p, 0.0, {(1,): 0.0, (2,): 0.0}, x)
-        assert res == pytest.approx(-p.source(x[None, :])[0], rel=1e-15)
+        x = np.array([[1.3]])
+        res = p.residual(x, np.zeros(1), {(1,): np.zeros(1), (2,): np.zeros(1)})
+        assert res[0] == pytest.approx(-p.source(x)[0], rel=1e-15)
 
     def test_burgers_plug_in(self):
         # at x = pi/2 the source vanishes, so u=1, u_x=1 and zero higher
         # derivatives leave exactly the advection product
         p = builtin("burgers1d")
-        pt = np.array([np.pi / 2, 0.5])
-        assert p.source(pt[None, :])[0] == pytest.approx(0.0, abs=1e-16)
-        res = residual_at(p, 1.0, {(1, 0): 1.0, (0, 1): 0.0, (2, 0): 0.0}, pt)
-        assert res == pytest.approx(1.0, rel=1e-12)
+        pt = np.array([[np.pi / 2, 0.5]])
+        assert p.source(pt)[0] == pytest.approx(0.0, abs=1e-16)
+        derivs = {(1, 0): np.ones(1), (0, 1): np.zeros(1), (2, 0): np.zeros(1)}
+        res = p.residual(pt, np.ones(1), derivs)
+        assert res[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_missing_derivative(self):
         p = builtin("helmholtz1d")
         with pytest.raises(KeyError):
-            residual_at(p, 0.0, {}, np.array([1.0]))
+            p.residual(np.array([[1.0]]), np.zeros(1), {})
 
 
 class TestErrorNorms:

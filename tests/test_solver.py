@@ -14,7 +14,7 @@ from subspacepde.assembly import (
     solve_least_squares,
 )
 from subspacepde.geometry import DomainSpec, PartitionSpec, partition, sample_boundary, sample_interior
-from subspacepde.network import NetworkConfig, eval_basis, init_params
+from subspacepde.network import CoefficientVector, NetworkConfig, eval_basis, init_params
 from subspacepde.problems import NonlinearTerm, ProblemSpec, builtin
 from subspacepde.solver import (
     Discretization,
@@ -105,6 +105,28 @@ class TestSolveLinear:
     def test_interface_jump_reported(self):
         report = solve(**tiny_linear_setup(), init_mode="uniform_range")
         assert report.interface_jump_max <= 10 * report.ls_residual_rms
+
+    def test_report_json_keys(self):
+        doc = solve(**tiny_linear_setup(), init_mode="uniform_range").to_json_dict()
+        assert set(doc) == {
+            "problem", "method", "num_subdomains", "subspace_dim", "rows", "columns",
+            "norms", "epochs_per_subdomain", "epochs_mean", "final_rel_losses",
+            "nonlinear_iters", "warmup_iters_used", "converged", "ls_residual_history",
+            "ls_rank_history", "ls_sigma_max_history", "nonlinear_residual_history",
+            "ls_residual_rms", "interface_jump_max", "beta", "wall_times",
+        }
+        assert set(doc["norms"]) == {"l2_abs", "l2_rel", "linf"}
+
+    def test_stacked_residual_matches_dense_residual(self):
+        # the row-block products against the dense system they assemble into,
+        # at unit-scale coefficients: this setup's least-squares solution
+        # reaches |beta| ~ 1e11, where both residuals are mostly cancellation
+        disc = Discretization(**tiny_linear_setup(), init_mode="uniform_range")
+        system = disc.assemble_linear_system()
+        rng = np.random.default_rng(0)
+        beta = CoefficientVector(rng.normal(size=disc.indexing.width), disc.indexing.block_size)
+        dense = np.linalg.norm(system.matrix @ beta.values - system.rhs)
+        assert disc.stacked_residual_norm(beta) == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("method", [None, "picard", "newton"])
     def test_least_squares_histories_aligned(self, method):
@@ -263,9 +285,9 @@ class TestNonlinearDrivers:
         beta, _ = solve_least_squares(system)
         beta, _, converged = _iterate(disc, beta, (), 15, tol, LstsqLog())
         assert converged
-        u_before = disc.interior_values_flat(beta)
+        u_before = np.concatenate([u for u, _ in disc.interior_solution(beta)])
         beta, _, _ = _iterate(disc, beta, (), 1, 0.0, LstsqLog())
-        u_after = disc.interior_values_flat(beta)
+        u_after = np.concatenate([u for u, _ in disc.interior_solution(beta)])
         assert np.max(np.abs(u_after - u_before)) <= tol
 
     @pytest.mark.parametrize("step, keeps_new", [(1.0, False), (-1.0, True)])
