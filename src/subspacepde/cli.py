@@ -42,7 +42,7 @@ def execute(config: RunConfig, write_outputs: bool = True) -> SolveReport:
     log_dir = None
     if write_outputs:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if config.training_log and not config.training.epochs_zero:
+        if config.training_log:
             log_dir = str(out_dir)
     dump_path = str(out_dir / config.dump_system) if (write_outputs and config.dump_system) else None
 

@@ -84,10 +84,6 @@ class PartitionSpec:
             if int(n) != n or n < 1:
                 raise ValueError(f"cell counts must be positive integers, got {n}")
 
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.counts))
-
 
 @dataclass(frozen=True)
 class SubdomainSpec:

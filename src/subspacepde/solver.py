@@ -49,6 +49,7 @@ from .geometry import (
     sample_boundary,
     sample_interface,
     sample_interior,
+    _tensor_grid,
 )
 from .network import (
     BasisEval,
@@ -185,7 +186,6 @@ class Discretization:
     ):
         self.problem = problem
         self.network = network
-        self.training = training
         continuity = problem.default_continuity_orders()
         self.subdomains, self.interfaces = partition(
             problem.domain, partition_spec, continuity
@@ -215,28 +215,20 @@ class Discretization:
         ]
 
         t0 = time.perf_counter()
-        self.params: list[NetworkParams] = []
-        self.epochs: list[int] = []
-        self.rel_losses: list[float] = []
-        for sub in self.subdomains:
-            if params_list is not None:
-                theta0 = params_list[sub.index]
-            else:
-                theta0 = init_params(network, init_mode, seed=[training.seed, sub.index])
-            log_path = None
-            if log_dir is not None and not training.epochs_zero:
-                log_path = f"{log_dir}/training_log_{sub.index}.csv"
-            theta, epochs, rel = train_subdomain(
-                theta0,
+        trained = [
+            train_subdomain(
+                init_params(network, init_mode, seed=[training.seed, sub.index])
+                if params_list is None
+                else params_list[sub.index],
                 problem,
                 sub,
                 self.interior[sub.index],
                 training,
-                log_path=log_path,
+                log_path=None if log_dir is None else f"{log_dir}/training_log_{sub.index}.csv",
             )
-            self.params.append(theta)
-            self.epochs.append(epochs)
-            self.rel_losses.append(rel)
+            for sub in self.subdomains
+        ]
+        self.params, self.epochs, self.rel_losses = map(list, zip(*trained))
         self.train_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -358,9 +350,9 @@ class EvaluationSpec:
 def evaluation_grid(domain: DomainSpec, spec: EvaluationSpec) -> Array:
     if len(spec.counts) != domain.dim:
         raise ValueError("evaluation counts must have one entry per axis")
-    axes = [np.linspace(lo, hi, int(n)) for (lo, hi), n in zip(domain.axes, spec.counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _tensor_grid(
+        [np.linspace(lo, hi, int(n)) for (lo, hi), n in zip(domain.axes, spec.counts)]
+    )
 
 
 def _default_evaluation(partition_spec: PartitionSpec, sampling: SamplingConfig) -> EvaluationSpec:

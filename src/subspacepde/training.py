@@ -193,66 +193,41 @@ def train_subdomain(
     """Full-batch Adam on the residual loss with the relative stopping rule.
 
     Stops once loss / initial_loss <= rel_tol or after max_epochs steps;
-    with ``epochs_zero`` the input parameters pass through untouched
-    (random-feature mode).  Returns (params, epochs_used, final_rel_loss).
+    with ``epochs_zero`` or ``max_epochs == 0`` the input parameters pass
+    through untouched (random-feature mode) and no log is written.  Returns
+    (params, epochs_used, final_rel_loss); an initial loss of 0 stops at
+    epoch 0 with a relative loss of 0.
     """
     pts = points.points if isinstance(points, PointSet) else np.atleast_2d(points)
     if config.epochs_zero or config.max_epochs == 0:
         return params, 0, 1.0
 
-    log_rows: list[tuple[int, float]] | None = [] if log_path is not None else None
-
-    def log(epoch: int, loss: float) -> None:
-        if log_rows is not None:
-            log_rows.append((epoch, loss))
-
-    def flush_log() -> None:
-        if log_rows is None:
-            return
-        with open(log_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss"])
-            for epoch, loss in log_rows:
-                writer.writerow([epoch, f"{loss:.16e}"])
-
     values = [v for layer in zip(params.weights, params.biases) for v in layer]
     adam = _Adam([v.shape for v in values], config.learning_rate)
-
-    initial_loss: float | None = None
+    losses: list[float] = []
     try:
         # The fused pass at each epoch evaluates the loss *before* that
         # epoch's step, which is exactly the post-step loss of the previous
         # epoch; the stopping rule is checked there so each epoch costs a
-        # single forward+backward sweep.
-        for epoch in range(1, config.max_epochs + 1):
+        # single forward+backward sweep.  The pass after the last step needs
+        # no gradient.
+        for epoch in range(config.max_epochs + 1):
+            last = epoch == config.max_epochs
             try:
                 current = _unflatten(values)
             except ValueError:
-                raise TrainingError(epoch - 1, float("nan")) from None
-            loss, grads = _loss_and_gradient(current, problem, subdomain, pts)
+                raise TrainingError(epoch, float("nan")) from None
+            loss, grads = _loss_and_gradient(current, problem, subdomain, pts, gradient=not last)
             if not np.isfinite(loss):
-                raise TrainingError(epoch - 1, loss)
-            if initial_loss is None:
-                initial_loss = loss
-                log(0, loss)
-                if loss == 0.0:
-                    return current, 0, 0.0
-            else:
-                log(epoch - 1, loss)
-                if loss / initial_loss <= config.rel_tol:
-                    return current, epoch - 1, loss / initial_loss
+                raise TrainingError(epoch, loss)
+            losses.append(loss)
+            rel = loss / losses[0] if losses[0] else 0.0
+            if last or rel <= config.rel_tol:
+                return current, epoch, rel
             values = adam.step(values, [g for layer in grads for g in layer])
-
-        try:
-            final = _unflatten(values)
-        except ValueError:
-            raise TrainingError(config.max_epochs, float("nan")) from None
-        loss = residual_loss(final, problem, subdomain, pts)
-        if not np.isfinite(loss):
-            raise TrainingError(config.max_epochs, loss)
-        log(config.max_epochs, loss)
-        if initial_loss is None or initial_loss == 0.0:
-            return final, config.max_epochs, 0.0
-        return final, config.max_epochs, loss / initial_loss
     finally:
-        flush_log()
+        if log_path is not None:
+            with open(log_path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["epoch", "loss"])
+                writer.writerows([k, f"{value:.16e}"] for k, value in enumerate(losses))

@@ -1,7 +1,10 @@
 """CLI: config validation, run outputs, sweeps, problem listing."""
 
 import csv
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +39,17 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def benchmark_workloads(monkeypatch):
+    """The benchmark's workloads, loaded read-only from `bench/workloads.py`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their defining module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key_rejected(self, tmp_path):
         # also the removed network.subspace_activation option
@@ -68,6 +82,19 @@ class TestConfigValidation:
         assert config.training.learning_rate == 0.001
         assert config.training.rel_tol == 1e-3
         assert config.sampling.seed == 202
+
+    def test_benchmark_workload_configs_accepted(self, monkeypatch):
+        workloads = benchmark_workloads(monkeypatch)
+        assert {"helmholtz1d", "poisson2d", "burgers1d_newton"} <= set(workloads)
+        for name, workload in workloads.items():
+            doc = workload.config(202)
+            config = from_dict(doc)
+            for key in ("learning_rate", "max_epochs", "rel_tol"):
+                assert getattr(config.training, key) == doc["training"][key], (name, key)
+            assert (config.nonlinear is None) == ("nonlinear" not in doc), name
+            for key, value in doc.get("nonlinear", {}).items():
+                assert getattr(config.nonlinear, key) == value, (name, key)
+        assert workloads["burgers1d_newton"].config(202)["nonlinear"]["method"] == "newton"
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

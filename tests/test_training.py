@@ -343,19 +343,29 @@ class TestTrainSubdomain:
         problem, sub, pts, params, config = self.setup_pieces(max_epochs=5, rel_tol=1e-12)
         log = tmp_path / "log.csv"
         _, epochs, _ = train_subdomain(params, problem, sub, pts, config, log_path=log)
+        assert epochs == config.max_epochs  # rel_tol out of reach: a fixed epoch count
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "epoch,loss"
         assert len(lines) == epochs + 2  # header + epoch 0 .. epochs
 
-    def test_non_finite_loss_reports_epoch(self):
-        problem = o1_problem(source=lambda pts: np.full(pts.shape[0], np.nan))
+    # The source is evaluated once per epoch, so a NaN on its k-th call lands
+    # in epoch k - 1; call 11 is the final, gradient-free evaluation.
+    @pytest.mark.parametrize("nan_call, epoch", [(1, 0), (4, 3), (11, 10)])
+    def test_non_finite_loss_reports_epoch(self, nan_call, epoch):
+        calls = []
+
+        def source(pts):
+            calls.append(None)
+            return np.full(pts.shape[0], np.nan if len(calls) == nan_call else 1.0)
+
+        problem = o1_problem(source=source)
         sub, pts = first_subdomain(problem)
         cfg = NetworkConfig(input_dim=1, subspace_dim=3)
         params = init_params(cfg, "glorot", seed=0)
         config = TrainingConfig(max_epochs=10)
         with pytest.raises(TrainingError) as info:
             train_subdomain(params, problem, sub, pts, config)
-        assert info.value.epoch == 0
+        assert info.value.epoch == epoch
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
