@@ -150,8 +150,7 @@ def assemble_pde_rows(
         rhs -= remainder
     local = np.zeros((n, basis.num_basis))
     for alpha, coef in weights.items():
-        block = basis.values if alpha == zero else basis.deriv(alpha)
-        local += np.asarray(coef)[:, None] * block
+        local += np.asarray(coef)[:, None] * basis.deriv(alpha)
     return RowBlock(
         kind="pde",
         width=indexing.width,
@@ -219,8 +218,7 @@ def assemble_continuity_rows(
     pieces = []
     for order in range(orders):
         alpha = tuple(order if s == interface.axis else 0 for s in range(dim))
-        left = basis_left.values if order == 0 else basis_left.deriv(alpha)
-        right = basis_right.values if order == 0 else basis_right.deriv(alpha)
+        left, right = basis_left.deriv(alpha), basis_right.deriv(alpha)
         pieces.append(_Piece(order * n, indexing.col_offset(interface.left), left.copy()))
         pieces.append(_Piece(order * n, indexing.col_offset(interface.right), -right))
     return RowBlock(

@@ -276,10 +276,9 @@ def from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"sampling.{key}: needs {dim} entries")
     sampling = SamplingConfig(
         interior_counts=tuple(sampling_doc["counts"]),
-        strategy=sampling_doc.get("strategy", "uniform"),
         boundary_counts=tuple(sampling_doc["boundary_counts"]) if "boundary_counts" in sampling_doc else None,
         interface_counts=tuple(sampling_doc["interface_counts"]) if "interface_counts" in sampling_doc else None,
-        seed=sampling_doc.get("seed", 202),
+        **{key: sampling_doc[key] for key in ("strategy", "seed") if key in sampling_doc},
     )
 
     network_doc = doc["network"]
@@ -288,7 +287,7 @@ def from_dict(doc: dict) -> RunConfig:
             input_dim=dim,
             hidden_widths=tuple(network_doc.get("hidden_widths", ())),
             subspace_dim=network_doc["subspace_dim"],
-            init_range=network_doc.get("init_range", 1.0),
+            **{key: network_doc[key] for key in ("init_range",) if key in network_doc},
         )
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
@@ -296,26 +295,14 @@ def from_dict(doc: dict) -> RunConfig:
 
     training_doc = doc.get("training", {})
     try:
-        training = TrainingConfig(
-            learning_rate=training_doc.get("learning_rate", 0.001),
-            max_epochs=training_doc.get("max_epochs", 5000),
-            rel_tol=training_doc.get("rel_tol", 1e-3),
-            seed=training_doc.get("seed", 202),
-            epochs_zero=training_doc.get("epochs_zero", False),
-        )
+        training = TrainingConfig(**{key: value for key, value in training_doc.items() if key != "log"})
     except ValueError as exc:
         raise ConfigError(f"training: {exc}") from exc
 
     nonlinear = None
     if problem.nonlinear is not None:
-        nl_doc = doc.get("nonlinear", {})
         try:
-            nonlinear = NonlinearConfig(
-                method=nl_doc.get("method", "picard"),
-                max_iters=nl_doc.get("max_iters", 20),
-                tol=nl_doc.get("tol", 1e-6),
-                picard_warmup_iters=nl_doc.get("picard_warmup_iters", 2),
-            )
+            nonlinear = NonlinearConfig(**doc.get("nonlinear", {}))
         except ValueError as exc:
             raise ConfigError(f"nonlinear: {exc}") from exc
     elif "nonlinear" in doc:

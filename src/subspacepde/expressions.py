@@ -2,18 +2,27 @@
 
 Supported: numeric literals, + - * / ^ (right-associative power), unary
 sign, parentheses, the functions sin/cos/exp, and the variables x, y, t.
-Expressions compile to evaluation trees applied to point arrays.
+Once ``^`` reads as ``**`` these are Python's precedence and associativity,
+so an expression is parsed by :mod:`ast` and accepted only if every node is
+on a whitelist; config text is never executed.  Python spellings outside
+the grammar are rejected: ``**``, hex, underscore and complex literals,
+``True``, keywords, attributes, subscripts, and integer literals with
+leading zeros such as ``07``, which Python's grammar refuses.  Accepted
+expressions compile to nested closures applied to point arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ast
+import operator
+import re
 from typing import Callable, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
 
 Array = NDArray[np.float64]
+Evaluator = Callable[[Mapping[str, Array]], Array]
 
 FUNCTIONS: dict[str, Callable[[Array], Array]] = {
     "sin": np.sin,
@@ -23,171 +32,56 @@ FUNCTIONS: dict[str, Callable[[Array], Array]] = {
 
 VARIABLES = ("x", "y", "t")
 
+# A character outside the grammar, or the second star of a raw ``**``.
+_BAD_CHARACTER = re.compile(r"[^0-9A-Za-z_.+\-*/^()\s]|(?<=\*)\*")
+_NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
 
 class ExpressionError(ValueError):
     """Raised for syntax or name errors, with the offending position."""
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | name | op
-    text: str
-    pos: int
+def _lower(node: ast.expr, source: str, columns: list[int]) -> Evaluator:
+    """Check ``node`` against the whitelist and return its evaluator."""
+    pos = columns[node.col_offset]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        binary = _BINARY[type(node.op)]
+        lhs, rhs = _lower(node.left, source, columns), _lower(node.right, source, columns)
+        return lambda values: binary(lhs(values), rhs(values))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        unary, operand = _UNARY[type(node.op)], _lower(node.operand, source, columns)
+        return lambda values: unary(operand(values))
+    if isinstance(node, ast.Constant):
+        literal = source[node.col_offset : node.end_col_offset]
+        if not _NUMBER.fullmatch(literal):
+            raise ExpressionError(f"unsupported literal {literal!r} at position {pos}")
+        value = np.float64(float(literal))  # IEEE semantics for 0/0 etc., not ZeroDivisionError
+        return lambda values: value
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name not in VARIABLES:
+            raise ExpressionError(f"unknown variable {name!r} at position {pos}")
 
+        def variable(values: Mapping[str, Array]) -> Array:
+            if name not in values:
+                raise ExpressionError(f"variable {name!r} is not defined on this domain")
+            return values[name]
 
-def _tokenize(src: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            try:
-                float(src[i:j])
-            except ValueError:
-                raise ExpressionError(f"bad number {src[i:j]!r} at position {i}") from None
-            tokens.append(_Token("number", src[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", src[i:j], i))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        else:
-            raise ExpressionError(f"unexpected character {ch!r} at position {i}")
-    return tokens
-
-
-# Node = (tag, payload...) evaluated recursively; tags: num, var, call, neg, bin.
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.src!r}")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> None:
-        tok = self.take()
-        if tok.kind != "op" or tok.text != text:
-            raise ExpressionError(f"expected {text!r} at position {tok.pos}")
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ExpressionError(f"trailing input at position {tok.pos}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "+-":
-            self.take()
-            rhs = self.term()
-            node = ("bin", tok.text, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in "*/":
-            self.take()
-            rhs = self.unary()
-            node = ("bin", tok.text, node, rhs)
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text in "+-":
-            self.take()
-            node = self.unary()
-            return ("neg", node) if tok.text == "-" else node
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
-            self.take()
-            exponent = self.unary()  # right-associative, binds sign in the exponent
-            return ("bin", "^", base, exponent)
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok.kind == "number":
-            return ("num", float(tok.text))
-        if tok.kind == "name":
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok.text!r} at position {tok.pos}")
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", tok.text, arg)
-            if tok.text not in VARIABLES:
-                raise ExpressionError(f"unknown variable {tok.text!r} at position {tok.pos}")
-            return ("var", tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {tok.text!r} at position {tok.pos}")
-
-
-def _evaluate(node, values: Mapping[str, Array]) -> Array:
-    tag = node[0]
-    if tag == "num":
-        return np.float64(node[1])  # IEEE semantics for 0/0 etc., not ZeroDivisionError
-    if tag == "var":
-        name = node[1]
-        if name not in values:
-            raise ExpressionError(f"variable {name!r} is not defined on this domain")
-        return values[name]
-    if tag == "neg":
-        return -_evaluate(node[1], values)
-    if tag == "call":
-        return FUNCTIONS[node[1]](_evaluate(node[2], values))
-    op = node[1]
-    lhs = _evaluate(node[2], values)
-    rhs = _evaluate(node[3], values)
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    return lhs**rhs
+        return variable
+    # A parenthesized callee, as in ``(sin)(x)``, starts after its call.
+    callee = node.func if isinstance(node, ast.Call) else None
+    if isinstance(callee, ast.Name) and callee.col_offset == node.col_offset:
+        name = callee.id
+        if name not in FUNCTIONS:
+            raise ExpressionError(f"unknown function {name!r} at position {pos}")
+        if len(node.args) != 1 or node.keywords:
+            raise ExpressionError(f"function {name!r} takes one argument at position {pos}")
+        function, argument = FUNCTIONS[name], _lower(node.args[0], source, columns)
+        return lambda values: function(argument(values))
+    raise ExpressionError(f"unsupported syntax at position {pos}")
 
 
 def compile_expression(src: str, variable_columns: Mapping[str, int]) -> Callable[[Array], Array]:
@@ -197,12 +91,25 @@ def compile_expression(src: str, variable_columns: Mapping[str, int]) -> Callabl
     unknown variables fail at parse time when possible, otherwise at call
     time (a variable valid in the grammar but absent on this domain).
     """
-    tree = _Parser(src).parse()
+    if bad := _BAD_CHARACTER.search(src):
+        raise ExpressionError(f"unexpected character {bad.group()!r} at position {bad.start()}")
+    # One line without indentation; source column c is position columns[c] of src.
+    lead = len(src) - len(src.lstrip())
+    body = re.sub(r"\s", " ", src[lead:])
+    columns = [lead + i for i, ch in enumerate(body) for _ in range(1 + (ch == "^"))] + [len(src)]
+    source = body.replace("^", "**")
+    try:
+        evaluate = _lower(ast.parse(source, mode="eval").body, source, columns)
+    except SyntaxError as exc:
+        pos = columns[min(max((exc.offset or 1) - 1, 0), len(columns) - 1)]
+        raise ExpressionError(f"syntax error at position {pos}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # how Python's parser reports too deep a tree
+        raise ExpressionError("expression nests too deeply") from None
 
     def fn(points: Array) -> Array:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         values = {name: pts[:, col] for name, col in variable_columns.items()}
-        out = _evaluate(tree, values)
+        out = evaluate(values)
         return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
 
     return fn

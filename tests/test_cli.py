@@ -12,6 +12,9 @@ import pytest
 from subspacepde import cli
 from subspacepde.cli import main
 from subspacepde.config import ConfigError, from_dict, load_config
+from subspacepde.network import NetworkConfig
+from subspacepde.solver import NonlinearConfig, SamplingConfig
+from subspacepde.training import TrainingConfig
 
 
 def tiny_config(out_dir, **overrides):
@@ -82,6 +85,21 @@ class TestConfigValidation:
         assert config.training.learning_rate == 0.001
         assert config.training.rel_tol == 1e-3
         assert config.sampling.seed == 202
+
+    def test_omitted_sections_take_dataclass_defaults(self):
+        config = from_dict(
+            {
+                "problem": "nonlinear_helmholtz1d",
+                "partition": {"counts": [2]},
+                "sampling": {"counts": [40]},
+                "network": {"subspace_dim": 30},
+            }
+        )
+        assert config.training == TrainingConfig()
+        assert config.nonlinear == NonlinearConfig()
+        assert config.sampling == SamplingConfig(interior_counts=(40,))
+        assert config.network == NetworkConfig(input_dim=1, subspace_dim=30)
+        assert config.training_log is False
 
     def test_benchmark_workload_configs_accepted(self, monkeypatch):
         workloads = benchmark_workloads(monkeypatch)
