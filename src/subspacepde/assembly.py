@@ -1,14 +1,14 @@
 """Global block least-squares system over the stacked basis coefficients.
 
-Rows come in three kinds, stacked in this order: PDE rows (operator applied
-to each subdomain's basis at interior points), boundary rows (basis values
-at boundary/initial points in the owning subdomain's column block), and
-continuity rows (+/- derivative blocks of the two subdomains sharing an
-interface).  Columns are per-subdomain blocks of width M, in subdomain
-order.  Each batch of rows is a `RowBlock` of dense pieces placed in the
-column blocks they touch; `RowBlock.matvec` is the one product of those
-rows with the coefficients, and the dense system is formed only for the
-least-squares solve and `dump_system`.  The system is solved in the
+Rows come in three kinds, which callers stack in this order: PDE rows
+(operator applied to each subdomain's basis at interior points), boundary
+rows (basis values at boundary/initial points in the owning subdomain's
+column block), and continuity rows (+/- derivative blocks of the two
+subdomains sharing an interface).  Columns are per-subdomain blocks of
+width M, in subdomain order.  Each batch of rows is a `RowBlock` of dense
+pieces placed in the column blocks they touch; `RowBlock.matvec` is the
+one product of those rows with the coefficients, and the dense system is
+formed only for the least-squares solve and `dump_system`.  The system is solved in the
 minimum-norm least-squares sense by one LAPACK ``gelsd`` call, with
 singular values at or below 1e-12 of the largest truncated; neural bases
 are often nearly dependent, so the truncation is what keeps the solve
@@ -90,7 +90,6 @@ class RowBlock:
     opposite signs.  Products with the rows come from the pieces alone.
     """
 
-    kind: str
     width: int
     n_rows: int
     rhs: Array
@@ -152,7 +151,6 @@ def assemble_pde_rows(
     for alpha, coef in weights.items():
         local += np.asarray(coef)[:, None] * basis.deriv(alpha)
     return RowBlock(
-        kind="pde",
         width=indexing.width,
         n_rows=n,
         rhs=rhs,
@@ -191,7 +189,6 @@ def assemble_boundary_rows(
         pieces.append(_Piece(start, indexing.col_offset(owner), basis_values[start:stop]))
         start = stop
     return RowBlock(
-        kind="boundary",
         width=indexing.width,
         n_rows=n,
         rhs=rhs,
@@ -222,7 +219,6 @@ def assemble_continuity_rows(
         pieces.append(_Piece(order * n, indexing.col_offset(interface.left), left.copy()))
         pieces.append(_Piece(order * n, indexing.col_offset(interface.right), -right))
     return RowBlock(
-        kind="continuity",
         width=indexing.width,
         n_rows=orders * n,
         rhs=np.zeros(orders * n),
@@ -243,14 +239,8 @@ class GlobalSystem:
         return self.matrix.shape
 
 
-_KIND_ORDER = {"pde": 0, "boundary": 1, "continuity": 2}
-
-
 def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> GlobalSystem:
-    """Stack row blocks into one dense system, PDE, boundary, continuity.
-
-    Within each kind the input order is preserved.
-    """
+    """Stack row blocks into one dense system, in the order given."""
     if not blocks:
         raise ValueError("cannot assemble an empty system")
     for block in blocks:
@@ -258,16 +248,11 @@ def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> Glo
             raise ValueError(
                 f"row block width {block.width} does not match the global width {indexing.width}"
             )
-        if block.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown row-block kind {block.kind!r}")
-
-    order = sorted(range(len(blocks)), key=lambda i: (_KIND_ORDER[blocks[i].kind], i))
     total_rows = sum(b.n_rows for b in blocks)
     matrix = np.zeros((total_rows, indexing.width))
     rhs = np.empty(total_rows)
     row = 0
-    for i in order:
-        block = blocks[i]
+    for block in blocks:
         rhs[row : row + block.n_rows] = block.rhs
         block.place(matrix[row : row + block.n_rows])
         row += block.n_rows

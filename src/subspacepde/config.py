@@ -79,7 +79,8 @@ _CUSTOM_PROBLEM_SCHEMA = {
         "exact": {"type": "string"},
         "continuity_orders": {
             "type": "array",
-            "items": {"type": "integer", "minimum": 0},
+            # networks propagate derivatives up to order 2
+            "items": {"type": "integer", "minimum": 0, "maximum": 2},
         },
     },
 }
@@ -106,8 +107,6 @@ SCHEMA = {
             "properties": {
                 "strategy": {"enum": ["uniform", "gauss", "random"]},
                 "counts": _SAMPLE_COUNTS,
-                "boundary_counts": _SAMPLE_COUNTS,
-                "interface_counts": _SAMPLE_COUNTS,
                 "seed": {"type": "integer", "minimum": 0},
             },
         },
@@ -271,13 +270,10 @@ def from_dict(doc: dict) -> RunConfig:
     partition_spec = PartitionSpec(tuple(counts))
 
     sampling_doc = doc["sampling"]
-    for key in ("counts", "boundary_counts", "interface_counts"):
-        if key in sampling_doc and len(sampling_doc[key]) != dim:
-            raise ConfigError(f"sampling.{key}: needs {dim} entries")
+    if len(sampling_doc["counts"]) != dim:
+        raise ConfigError(f"sampling.counts: needs {dim} entries")
     sampling = SamplingConfig(
         interior_counts=tuple(sampling_doc["counts"]),
-        boundary_counts=tuple(sampling_doc["boundary_counts"]) if "boundary_counts" in sampling_doc else None,
-        interface_counts=tuple(sampling_doc["interface_counts"]) if "interface_counts" in sampling_doc else None,
         **{key: sampling_doc[key] for key in ("strategy", "seed") if key in sampling_doc},
     )
 
@@ -331,10 +327,15 @@ def from_dict(doc: dict) -> RunConfig:
     )
 
 
+def _reject_constant(name: str):
+    # json accepts NaN and +/-Infinity, which no numeric bound of the schema rejects
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

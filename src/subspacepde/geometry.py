@@ -93,14 +93,6 @@ class SubdomainSpec:
     multi_index: tuple[int, ...]
     bounds: tuple[tuple[float, float], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
-
-    def width(self, axis: int) -> float:
-        lo, hi = self.bounds[axis]
-        return hi - lo
-
     def contains(self, points: Array, tol: float = CONTAINMENT_TOL) -> NDArray[np.bool_]:
         """Closed containment check, vectorized over points of shape (n, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -138,7 +130,7 @@ class InterfaceSpec:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Collocation points with a role tag.
+    """Collocation points, shape (n, dim).
 
     ``owners`` (boundary sets) maps each point to the subdomain whose basis
     is evaluated there; ``initial_mask`` flags points on the t = lower facet
@@ -146,20 +138,11 @@ class PointSet:
     """
 
     points: Array
-    kind: str
     owners: NDArray[np.int64] | None = None
     initial_mask: NDArray[np.bool_] | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("interior", "boundary", "initial", "interface"):
-            raise ValueError(f"unknown point-set kind {self.kind!r}")
-
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def partition(
@@ -268,6 +251,25 @@ def _tensor_grid(axis_nodes: Sequence[Array]) -> Array:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _box_grid(
+    bounds: Sequence[tuple[float, float]],
+    counts: Sequence[int],
+    strategy: str,
+    rng: np.random.Generator | None,
+) -> Array:
+    """Tensor grid over a box; a degenerate axis (a facet's normal) gives its one value."""
+    return _tensor_grid(
+        [
+            np.array([lo]) if lo == hi else _axis_nodes(strategy, int(c), lo, hi, rng)
+            for c, (lo, hi) in zip(counts, bounds)
+        ]
+    )
+
+
+def _rng(strategy: str, *key: int) -> np.random.Generator | None:
+    return np.random.default_rng(list(key)) if strategy == "random" else None
+
+
 def sample_interior(
     subdomain: SubdomainSpec,
     strategy: str,
@@ -279,14 +281,10 @@ def sample_interior(
     All strategies include the subdomain endpoints along every axis;
     ``uniform`` and ``gauss`` ignore the seed.
     """
-    if len(counts_per_axis) != subdomain.dim:
+    if len(counts_per_axis) != len(subdomain.bounds):
         raise ValueError("counts_per_axis must have one entry per axis")
-    rng = np.random.default_rng([seed, subdomain.index]) if strategy == "random" else None
-    nodes = [
-        _axis_nodes(strategy, int(c), lo, hi, rng)
-        for c, (lo, hi) in zip(counts_per_axis, subdomain.bounds)
-    ]
-    return PointSet(points=_tensor_grid(nodes), kind="interior")
+    rng = _rng(strategy, seed, subdomain.index)
+    return PointSet(_box_grid(subdomain.bounds, counts_per_axis, strategy, rng))
 
 
 def sample_boundary(
@@ -298,10 +296,11 @@ def sample_boundary(
 ) -> PointSet:
     """Collocation points on the data-carrying facets of the domain boundary.
 
-    Every spatial boundary facet is sampled per owning subdomain facet; a
-    temporal axis contributes only its lower (initial-condition) facet.
-    Duplicated corner points keep their first occurrence, so ownership
-    falls to the lowest subdomain id.
+    Every spatial boundary facet is sampled per owning subdomain facet, on
+    the subdomain's grid restricted to that facet; a temporal axis
+    contributes only its lower (initial-condition) facet.  Duplicated
+    corner points keep their first occurrence, so ownership falls to the
+    lowest subdomain id.
     """
     if len(counts) != domain.dim:
         raise ValueError("counts must have one entry per axis")
@@ -310,7 +309,7 @@ def sample_boundary(
     rows: list[Array] = []
     owners: list[int] = []
     initial: list[bool] = []
-    seen: dict[bytes, int] = {}
+    seen: set[bytes] = set()
     for sub in sorted(subdomains, key=lambda s: s.index):
         for axis in range(domain.dim):
             for side in (0, 1):
@@ -319,37 +318,21 @@ def sample_boundary(
                 facet_value = sub.bounds[axis][side]
                 if abs(facet_value - domain.axes[axis][side]) > CONTAINMENT_TOL:
                     continue  # interior facet, not on the domain boundary
-                tangential = [r for r in range(domain.dim) if r != axis]
-                if tangential:
-                    rng = (
-                        np.random.default_rng([seed, sub.index, axis, side])
-                        if strategy == "random"
-                        else None
-                    )
-                    nodes = [
-                        _axis_nodes(strategy, int(counts[r]), *sub.bounds[r], rng)
-                        for r in tangential
-                    ]
-                    grid = _tensor_grid(nodes)
-                    pts = np.empty((grid.shape[0], domain.dim))
-                    pts[:, tangential] = grid
-                    pts[:, axis] = facet_value
-                else:
-                    pts = np.array([[facet_value]])
-                is_initial = axis == t_axis and side == 0
-                for row in pts:
+                facet = list(sub.bounds)
+                facet[axis] = (facet_value, facet_value)
+                rng = _rng(strategy, seed, sub.index, axis, side)
+                for row in _box_grid(facet, counts, strategy, rng):
                     key = row.tobytes()
                     if key in seen:
                         continue
-                    seen[key] = len(rows)
+                    seen.add(key)
                     rows.append(row)
                     owners.append(sub.index)
-                    initial.append(is_initial)
+                    initial.append(axis == t_axis)
 
     points = np.array(rows) if rows else np.empty((0, domain.dim))
     return PointSet(
         points=points,
-        kind="boundary",
         owners=np.array(owners, dtype=np.int64),
         initial_mask=np.array(initial, dtype=bool),
     )
@@ -366,29 +349,15 @@ def sample_interface(
     ``counts`` has one entry per tangential axis; a 1-D interface is the
     single shared endpoint.
     """
-    dim = len(interface.facet_bounds)
-    tangential = [r for r in range(dim) if r != interface.axis]
-    if len(counts) != len(tangential):
+    n_tangential = len(interface.facet_bounds) - 1
+    if len(counts) != n_tangential:
         raise ValueError(
-            f"counts must have {len(tangential)} entries (facet dimensionality), got {len(counts)}"
+            f"counts must have {n_tangential} entries (facet dimensionality), got {len(counts)}"
         )
-    if tangential:
-        rng = (
-            np.random.default_rng([seed, interface.left, interface.right, interface.axis])
-            if strategy == "random"
-            else None
-        )
-        nodes = [
-            _axis_nodes(strategy, int(c), *interface.facet_bounds[r], rng)
-            for c, r in zip(counts, tangential)
-        ]
-        grid = _tensor_grid(nodes)
-        pts = np.empty((grid.shape[0], dim))
-        pts[:, tangential] = grid
-        pts[:, interface.axis] = interface.position
-    else:
-        pts = np.array([[interface.position]])
-    return PointSet(points=pts, kind="interface")
+    axis_counts = list(counts)
+    axis_counts.insert(interface.axis, 1)
+    rng = _rng(strategy, seed, interface.left, interface.right, interface.axis)
+    return PointSet(_box_grid(interface.facet_bounds, axis_counts, strategy, rng))
 
 
 def find_owners(points: Array, subdomains: Sequence[SubdomainSpec], tol: float = CONTAINMENT_TOL) -> NDArray[np.int64]:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import DomainSpec, PointSet
+from .geometry import DomainSpec
 
 Array = NDArray[np.float64]
 MultiIndex = tuple[int, ...]
@@ -95,6 +95,9 @@ class ProblemSpec:
                 raise ValueError("linear term multi-index does not match the domain dimension")
         if self.domain.temporal_axis is not None and self.initial is None:
             raise ValueError("space-time problems need initial data")
+        if any(not 0 <= k <= 2 for k in self.continuity_orders or ()):
+            # the networks propagate derivatives up to order 2 only
+            raise ValueError(f"continuity orders must lie in 0..2, got {self.continuity_orders}")
         if self.exact_derivs is not None:
             object.__setattr__(
                 self, "exact_derivs", {tuple(k): v for k, v in dict(self.exact_derivs).items()}
@@ -133,8 +136,8 @@ class ProblemSpec:
                 weights[term.derivative] = c
         return weights
 
-    def residual(self, points: Array, u: Array, derivs: Mapping[MultiIndex, Array]) -> Array:
-        """Operator applied to (u, derivs) minus the source, pointwise."""
+    def operator(self, points: Array, u: Array, derivs: Mapping[MultiIndex, Array]) -> Array:
+        """The operator applied to (u, derivs): linear terms, then the nonlinear term."""
         zero = (0,) * self.dim
         total = np.zeros(points.shape[0])
         for term in self.linear_terms:
@@ -142,7 +145,11 @@ class ProblemSpec:
             total += term.coefficient_at(points) * block
         if self.nonlinear is not None:
             total += self.nonlinear.value(points, u, derivs)
-        return total - self.source(points)
+        return total
+
+    def residual(self, points: Array, u: Array, derivs: Mapping[MultiIndex, Array]) -> Array:
+        """Operator applied to (u, derivs) minus the source, pointwise."""
+        return self.operator(points, u, derivs) - self.source(points)
 
     def residual_weights(
         self, points: Array, u: Array, derivs: Mapping[MultiIndex, Array]
@@ -180,12 +187,14 @@ class ErrorNorms:
     linf: float
 
 
-def error_norms(numeric: PointFunc, exact: PointFunc, grid: PointSet | Array) -> ErrorNorms:
-    points = grid.points if isinstance(grid, PointSet) else np.atleast_2d(grid)
-    if points.shape[0] == 0:
+def error_norms(u_num: Array, u_ref: Array) -> ErrorNorms:
+    """Norms of ``u_num - u_ref``, the numeric and exact values on one grid."""
+    u_num = np.asarray(u_num, dtype=float)
+    u_ref = np.asarray(u_ref, dtype=float)
+    if u_ref.size == 0:
         raise ValueError("error norms need a nonempty grid")
-    u_num = np.asarray(numeric(points), dtype=float)
-    u_ref = np.asarray(exact(points), dtype=float)
+    if not np.all(np.isfinite(u_ref)):
+        raise ValueError("the exact solution is not finite at every evaluation point")
     e = u_num - u_ref
     l2_abs = float(np.sqrt(np.mean(e * e)))
     ref_energy = float(np.sum(u_ref * u_ref))
@@ -201,25 +210,30 @@ def error_norms(numeric: PointFunc, exact: PointFunc, grid: PointSet | Array) ->
 # ----------------------------------------------------------------------
 
 
-def _manufactured_source(
-    linear_terms: Sequence[LinearTerm],
-    nonlinear: NonlinearTerm | None,
+def _manufactured(
+    name: str,
+    domain: DomainSpec,
+    terms: tuple[LinearTerm, ...],
     exact: PointFunc,
-    exact_derivs: Mapping[MultiIndex, PointFunc],
-) -> PointFunc:
-    def source(pts: Array) -> Array:
-        u = exact(pts)
-        derivs = {alpha: fn(pts) for alpha, fn in exact_derivs.items()}
-        zero = tuple(0 for _ in range(pts.shape[1]))
-        total = np.zeros(pts.shape[0])
-        for term in linear_terms:
-            block = u if term.derivative == zero else derivs[term.derivative]
-            total += term.coefficient_at(pts) * block
-        if nonlinear is not None:
-            total += nonlinear.value(pts, u, derivs)
-        return total
+    derivs: Mapping[MultiIndex, PointFunc],
+    **extra,
+) -> ProblemSpec:
+    """A problem whose source is its own operator applied to the exact solution."""
 
-    return source
+    def source(pts: Array) -> Array:
+        return spec.operator(pts, exact(pts), {alpha: fn(pts) for alpha, fn in derivs.items()})
+
+    spec = ProblemSpec(
+        name=name,
+        domain=domain,
+        linear_terms=terms,
+        source=source,
+        boundary=exact,
+        exact=exact,
+        exact_derivs=derivs,
+        **extra,
+    )
+    return spec
 
 
 def _helmholtz1d() -> ProblemSpec:
@@ -244,15 +258,7 @@ def _helmholtz1d() -> ProblemSpec:
 
     terms = (LinearTerm(1.0, (2,)), LinearTerm(-lam, (0,)))
     derivs = {(1,): d1, (2,): d2}
-    return ProblemSpec(
-        name="helmholtz1d",
-        domain=domain,
-        linear_terms=terms,
-        source=_manufactured_source(terms, None, exact, derivs),
-        boundary=exact,
-        exact=exact,
-        exact_derivs=derivs,
-    )
+    return _manufactured("helmholtz1d", domain, terms, exact, derivs)
 
 
 def _poisson2d() -> ProblemSpec:
@@ -275,15 +281,7 @@ def _poisson2d() -> ProblemSpec:
 
     terms = (LinearTerm(-1.0, (2, 0)), LinearTerm(-1.0, (0, 2)))
     derivs = {(1, 0): dx, (0, 1): dy, (2, 0): dxx, (0, 2): dyy}
-    return ProblemSpec(
-        name="poisson2d",
-        domain=domain,
-        linear_terms=terms,
-        source=_manufactured_source(terms, None, exact, derivs),
-        boundary=exact,
-        exact=exact,
-        exact_derivs=derivs,
-    )
+    return _manufactured("poisson2d", domain, terms, exact, derivs)
 
 
 def _parabolic1d() -> ProblemSpec:
@@ -307,16 +305,7 @@ def _parabolic1d() -> ProblemSpec:
     def initial(pts: Array) -> Array:
         return 2.0 * np.sin(np.pi * pts[:, 0])
 
-    return ProblemSpec(
-        name="parabolic1d",
-        domain=domain,
-        linear_terms=terms,
-        source=_manufactured_source(terms, None, exact, derivs),
-        boundary=exact,
-        initial=initial,
-        exact=exact,
-        exact_derivs=derivs,
-    )
+    return _manufactured("parabolic1d", domain, terms, exact, derivs, initial=initial)
 
 
 def _boundary_layer1d() -> ProblemSpec:
@@ -387,16 +376,7 @@ def _nonlinear_helmholtz1d() -> ProblemSpec:
     )
     terms = (LinearTerm(1.0, (2,)), LinearTerm(-lam, (0,)))
     derivs = {(1,): d1, (2,): d2}
-    return ProblemSpec(
-        name="nonlinear_helmholtz1d",
-        domain=domain,
-        linear_terms=terms,
-        source=_manufactured_source(terms, nonlinear, exact, derivs),
-        boundary=exact,
-        nonlinear=nonlinear,
-        exact=exact,
-        exact_derivs=derivs,
-    )
+    return _manufactured("nonlinear_helmholtz1d", domain, terms, exact, derivs, nonlinear=nonlinear)
 
 
 def _burgers1d() -> ProblemSpec:
@@ -429,16 +409,8 @@ def _burgers1d() -> ProblemSpec:
     def initial(pts: Array) -> Array:
         return np.sin(pts[:, 0])
 
-    return ProblemSpec(
-        name="burgers1d",
-        domain=domain,
-        linear_terms=terms,
-        source=_manufactured_source(terms, nonlinear, exact, derivs),
-        boundary=exact,
-        initial=initial,
-        nonlinear=nonlinear,
-        exact=exact,
-        exact_derivs=derivs,
+    return _manufactured(
+        "burgers1d", domain, terms, exact, derivs, initial=initial, nonlinear=nonlinear
     )
 
 

@@ -42,7 +42,6 @@ from .assembly import (
 from .geometry import (
     DomainSpec,
     PartitionSpec,
-    PointSet,
     SubdomainSpec,
     find_owners,
     partition,
@@ -70,21 +69,13 @@ Array = NDArray[np.float64]
 class SamplingConfig:
     """Collocation sampling for interior, boundary and interface sets.
 
-    Counts are per axis; boundary and interface facets reuse the interior
-    counts of their tangential axes unless overridden.
+    Counts are per axis; boundary and interface facets take the interior
+    counts of their tangential axes.
     """
 
     interior_counts: tuple[int, ...]
     strategy: str = "uniform"
-    boundary_counts: tuple[int, ...] | None = None
-    interface_counts: tuple[int, ...] | None = None
     seed: int = 202
-
-    def boundary_axis_counts(self) -> tuple[int, ...]:
-        return self.boundary_counts or self.interior_counts
-
-    def interface_axis_counts(self) -> tuple[int, ...]:
-        return self.interface_counts or self.interior_counts
 
 
 @dataclass(frozen=True)
@@ -157,9 +148,11 @@ class SolveReport:
         return doc
 
     def save_json(self, path) -> None:
+        # Serialized before the file opens: a non-finite value raises and
+        # leaves no partial report.
+        text = json.dumps(self.to_json_dict(), indent=1, sort_keys=True, allow_nan=False)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 class Discretization:
@@ -192,22 +185,18 @@ class Discretization:
         )
         self.indexing = GlobalIndexing(len(self.subdomains), network.subspace_dim)
 
+        counts = sampling.interior_counts
         self.interior = [
-            sample_interior(sub, sampling.strategy, sampling.interior_counts, sampling.seed)
+            sample_interior(sub, sampling.strategy, counts, sampling.seed)
             for sub in self.subdomains
         ]
         self.boundary = sample_boundary(
-            problem.domain,
-            self.subdomains,
-            sampling.boundary_axis_counts(),
-            sampling.strategy,
-            sampling.seed,
+            problem.domain, self.subdomains, counts, sampling.strategy, sampling.seed
         )
-        iface_counts = sampling.interface_axis_counts()
         self.interface_points = [
             sample_interface(
                 iface,
-                [iface_counts[r] for r in range(problem.dim) if r != iface.axis],
+                [counts[r] for r in range(problem.dim) if r != iface.axis],
                 sampling.strategy,
                 sampling.seed,
             )
@@ -387,7 +376,7 @@ def _finish_report(
     u_exact = None
     if problem.exact is not None:
         u_exact = problem.exact(grid)
-        norms = error_norms(lambda p: u_hat, problem.exact, PointSet(grid, "interior"))
+        norms = error_norms(u_hat, u_exact)
 
     rms = final_residual_norm / np.sqrt(rows) if rows else 0.0
     return SolveReport(

@@ -200,7 +200,6 @@ class TestBoundaryRows:
         problem = helmholtz_like()
         pts = PointSet(
             points=np.array([[0.0]]),
-            kind="boundary",
             owners=np.array([0]),
             initial_mask=np.array([False]),
         )
@@ -213,7 +212,6 @@ class TestBoundaryRows:
         problem = helmholtz_like()
         pts = PointSet(
             points=np.array([[0.0], [2.0]]),
-            kind="boundary",
             owners=np.array([0, 1]),
             initial_mask=np.array([False, False]),
         )
@@ -235,7 +233,6 @@ class TestBoundaryRows:
         )
         pts = PointSet(
             points=np.array([[0.0, 0.5], [0.25, 0.0]]),
-            kind="boundary",
             owners=np.array([0, 0]),
             initial_mask=np.array([False, True]),
         )
@@ -245,7 +242,7 @@ class TestBoundaryRows:
 
     def test_missing_owners_rejected(self):
         problem = helmholtz_like()
-        pts = PointSet(points=np.array([[0.0]]), kind="boundary")
+        pts = PointSet(points=np.array([[0.0]]))
         with pytest.raises(ValueError):
             assemble_boundary_rows(problem, GlobalIndexing(1, 1), pts, np.ones((1, 1)))
 
@@ -315,7 +312,6 @@ class TestRowBlockMatvec:
         owners = np.array([0, 0, 1, 1, 1, 2])
         pts = PointSet(
             points=np.linspace(0.0, 2.0, 6)[:, None],
-            kind="boundary",
             owners=owners,
             initial_mask=np.zeros(6, dtype=bool),
         )
@@ -339,23 +335,9 @@ class TestAssembleGlobal:
         np.testing.assert_array_equal(system.matrix, block.to_dense())
         np.testing.assert_array_equal(system.rhs, block.rhs)
 
-    def test_kind_ordering_pde_boundary_continuity(self):
-        indexing = GlobalIndexing(2, 1)
-        mk = lambda kind, v: RowBlock(
-            kind=kind,
-            width=2,
-            n_rows=1,
-            rhs=np.array([v]),
-            pieces=[],
-        )
-        system = assemble_global(
-            [mk("continuity", 3.0), mk("boundary", 2.0), mk("pde", 1.0)], indexing
-        )
-        np.testing.assert_array_equal(system.rhs, [1.0, 2.0, 3.0])
-
     def test_width_mismatch(self):
         indexing = GlobalIndexing(2, 2)
-        bad = RowBlock(kind="pde", width=3, n_rows=1, rhs=np.zeros(1), pieces=[])
+        bad = RowBlock(width=3, n_rows=1, rhs=np.zeros(1), pieces=[])
         with pytest.raises(ValueError):
             assemble_global([bad], indexing)
 
@@ -408,7 +390,6 @@ class TestSolveLeastSquares:
     def system(self, A, b):
         indexing = GlobalIndexing(1, A.shape[1])
         block = RowBlock(
-            kind="pde",
             width=A.shape[1],
             n_rows=A.shape[0],
             rhs=np.asarray(b, dtype=float),
@@ -547,9 +528,7 @@ class TestPolynomialOracle:
 class TestUtilities:
     def test_dump_npz(self, tmp_path):
         indexing = GlobalIndexing(1, 2)
-        block = RowBlock(
-            kind="pde", width=2, n_rows=2, rhs=np.array([1.0, 2.0]), pieces=[]
-        )
+        block = RowBlock(width=2, n_rows=2, rhs=np.array([1.0, 2.0]), pieces=[])
         system = assemble_global([block], indexing)
         system.matrix[:] = np.arange(4.0).reshape(2, 2)
 
@@ -561,7 +540,7 @@ class TestUtilities:
 
     def test_dump_unknown_extension(self, tmp_path):
         indexing = GlobalIndexing(1, 1)
-        block = RowBlock(kind="pde", width=1, n_rows=1, rhs=np.zeros(1), pieces=[])
+        block = RowBlock(width=1, n_rows=1, rhs=np.zeros(1), pieces=[])
         system = assemble_global([block], indexing)
         with pytest.raises(ValueError):
             dump_system(system, tmp_path / "system.txt")

@@ -36,6 +36,9 @@ def tiny_config(out_dir, **overrides):
     return doc
 
 
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -114,6 +117,13 @@ class TestConfigValidation:
                 assert getattr(config.nonlinear, key) == value, (name, key)
         assert workloads["burgers1d_newton"].config(202)["nonlinear"]["method"] == "newton"
 
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIGS_DIR.glob("*.json")), ids=lambda p: p.name
+    )
+    def test_shipped_config_loads(self, path):
+        config = load_config(path)
+        assert config.problem.name == json.loads(path.read_text())["problem"]
+
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")
@@ -174,18 +184,74 @@ class TestSolveCommand:
         assert main(["solve", cfg]) == 2
         assert "partition.counts" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["counts", "boundary_counts", "interface_counts"])
-    def test_sampling_count_below_two_is_config_error(self, tmp_path, capsys, key):
+    def test_sampling_count_below_two_is_config_error(self, tmp_path, capsys):
         doc = tiny_config(
             tmp_path,
             problem="poisson2d",
             partition={"counts": [2, 2]},
-            sampling={"counts": [6, 6], "seed": 202},
+            sampling={"counts": [1, 1], "seed": 202},
             evaluation={"counts": [11, 11]},
         )
-        doc["sampling"][key] = [1, 1]
         assert main(["solve", write_config(tmp_path, doc)]) == 2
-        assert f"sampling.{key}" in capsys.readouterr().err
+        assert "sampling.counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["boundary_counts", "interface_counts"])
+    def test_removed_count_override_is_unknown_key(self, tmp_path, capsys, key):
+        # facets always take the interior counts of their tangential axes
+        doc = tiny_config(tmp_path)
+        doc["sampling"][key] = [40]
+        assert main(["solve", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "sampling" in err and key in err
+
+    @pytest.mark.parametrize(
+        "section, key, problem",
+        [
+            ("training", "learning_rate", "helmholtz1d"),
+            ("nonlinear", "tol", "nonlinear_helmholtz1d"),
+            ("network", "init_range", "helmholtz1d"),
+        ],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, section, key, problem):
+        doc = tiny_config(tmp_path / "out", problem=problem, training={"max_epochs": 2})
+        doc.setdefault(section, {})[key] = float("nan")
+        cfg = write_config(tmp_path, doc)  # json.dumps writes the bare constant NaN
+        assert main(["solve", cfg]) == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_continuity_order_above_two_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "solve", no_training)
+        doc = tiny_config(tmp_path)
+        doc["problem"] = {
+            "name": "c3",
+            "domain": {"axes": [[0.0, 1.0]]},
+            "linear_terms": [{"coefficient": 1, "derivative": [2]}],
+            "source": "0",
+            "boundary": "0",
+            "continuity_orders": [3],
+        }
+        assert main(["solve", write_config(tmp_path, doc)]) == 2
+        assert "continuity_orders" in capsys.readouterr().err
+
+    def test_non_finite_exact_solution_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = tiny_config(out)
+        doc["problem"] = {
+            "name": "pole_at_zero",
+            "domain": {"axes": [[0.0, 1.0]]},
+            "linear_terms": [{"coefficient": 1, "derivative": [2]}],
+            "source": "0",
+            "boundary": "0",
+            "exact": "1 / x",
+        }
+        with np.errstate(divide="ignore"):
+            assert main(["solve", write_config(tmp_path, doc)]) == 3
+        assert "exact solution is not finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         doc = tiny_config(tmp_path)

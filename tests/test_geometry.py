@@ -272,6 +272,48 @@ class TestSampleInterface:
             )
 
 
+def rows(points):
+    return {tuple(row) for row in points}
+
+
+ONE_GRID_CASES = [
+    (DomainSpec.interval(0, 8), (3,), [5]),
+    (DomainSpec.box([(0, 2), (0, 3)]), (2, 3), [4, 6]),
+    (DomainSpec.space_time([(0, 2 * np.pi)], (0, 1)), (3, 2), [5, 4]),
+]
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "gauss"])
+@pytest.mark.parametrize("domain, cells, counts", ONE_GRID_CASES, ids=["1d", "2d", "space_time"])
+class TestOneGridRule:
+    """Facet points are exactly the interior grid's points on that facet."""
+
+    def test_boundary_facets(self, domain, cells, counts, strategy):
+        subs, _ = partition(domain, PartitionSpec(cells))
+        bnd = sample_boundary(domain, subs, counts, strategy)
+        expected = set()
+        for sub in subs:
+            grid = sample_interior(sub, strategy, counts).points
+            owned = rows(bnd.points[bnd.owners == sub.index])
+            assert owned <= rows(grid)
+            for axis, (lo, hi) in enumerate(domain.axes):
+                data_sides = (lo,) if axis == domain.temporal_axis else (lo, hi)
+                for value in data_sides:
+                    expected |= rows(grid[grid[:, axis] == value])
+        assert rows(bnd.points) == expected
+        assert len(bnd) == len(expected)
+
+    def test_interfaces(self, domain, cells, counts, strategy):
+        subs, ifaces = partition(domain, PartitionSpec(cells))
+        for iface in ifaces:
+            tangential = [c for r, c in enumerate(counts) if r != iface.axis]
+            pts = sample_interface(iface, tangential, strategy).points
+            for k in (iface.left, iface.right):
+                grid = sample_interior(subs[k], strategy, counts).points
+                on_facet = grid[grid[:, iface.axis] == iface.position]
+                np.testing.assert_array_equal(pts, on_facet)
+
+
 class TestFindOwners:
     def test_lowest_id_on_shared_facet(self):
         dom = DomainSpec.interval(0, 2)

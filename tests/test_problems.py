@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from subspacepde.geometry import PointSet
 from subspacepde.problems import (
     BUILTIN_NAMES,
     ErrorNorms,
@@ -157,41 +156,36 @@ class TestResidualAt:
 
 
 class TestErrorNorms:
-    def grid(self, values):
-        return PointSet(points=np.arange(len(values), dtype=float)[:, None], kind="interior")
-
     def test_zero_error(self):
-        g = self.grid([0, 0, 0])
-        norms = error_norms(lambda p: np.ones(3), lambda p: np.ones(3), g)
+        norms = error_norms(np.ones(3), np.ones(3))
         assert norms == ErrorNorms(0.0, 0.0, 0.0)
 
     def test_constant_error_unit_exact(self):
-        g = self.grid([0, 0, 0, 0])
         c = 0.25
-        norms = error_norms(lambda p: np.full(4, 1 + c), lambda p: np.ones(4), g)
+        norms = error_norms(np.full(4, 1 + c), np.ones(4))
         assert norms.l2_abs == pytest.approx(c)
         assert norms.l2_rel == pytest.approx(c)
         assert norms.linf == pytest.approx(c)
 
     def test_two_point_hand_case(self):
-        g = self.grid([0, 0])
-        norms = error_norms(
-            lambda p: np.array([3.0, 1.0]), lambda p: np.array([2.0, 2.0]), g
-        )
+        norms = error_norms(np.array([3.0, 1.0]), np.array([2.0, 2.0]))
         assert norms.l2_abs == pytest.approx(1.0)
         assert norms.l2_rel == pytest.approx(0.5)
         assert norms.linf == pytest.approx(1.0)
 
     def test_zero_exact_relative_absent(self):
-        g = self.grid([0, 0])
-        norms = error_norms(lambda p: np.array([1.0, -1.0]), lambda p: np.zeros(2), g)
+        norms = error_norms(np.array([1.0, -1.0]), np.zeros(2))
         assert norms.l2_rel is None
         assert norms.l2_abs == pytest.approx(1.0)
 
     def test_empty_grid_rejected(self):
-        ps = PointSet(points=np.empty((0, 1)), kind="interior")
         with pytest.raises(ValueError):
-            error_norms(lambda p: p[:, 0], lambda p: p[:, 0], ps)
+            error_norms(np.empty(0), np.empty(0))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_exact_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            error_norms(np.zeros(3), np.array([1.0, bad, 1.0]))
 
 
 class TestProblemSpecValidation:
@@ -221,6 +215,20 @@ class TestProblemSpecValidation:
                 linear_terms=(LinearTerm(1.0, (0, 1)),),
                 source=lambda p: np.zeros(p.shape[0]),
                 boundary=lambda p: np.zeros(p.shape[0]),
+            )
+
+    @pytest.mark.parametrize("orders", [(3,), (-1,)], ids=["3", "-1"])
+    def test_continuity_order_outside_0_to_2_rejected(self, orders):
+        from subspacepde.geometry import DomainSpec
+
+        with pytest.raises(ValueError, match="continuity orders"):
+            ProblemSpec(
+                name="bad",
+                domain=DomainSpec.interval(0, 1),
+                linear_terms=(LinearTerm(1.0, (2,)),),
+                source=lambda p: np.zeros(p.shape[0]),
+                boundary=lambda p: np.zeros(p.shape[0]),
+                continuity_orders=orders,
             )
 
     def test_residual_weights_merge_linear_and_nonlinear(self):
