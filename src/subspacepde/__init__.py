@@ -51,7 +51,6 @@ from .problems import (
     error_norms,
 )
 from .solver import (
-    EvaluationSpec,
     NonlinearConfig,
     SamplingConfig,
     SolveReport,
@@ -65,7 +64,6 @@ __all__ = [
     "CoefficientVector",
     "DomainSpec",
     "ErrorNorms",
-    "EvaluationSpec",
     "GlobalIndexing",
     "GlobalSystem",
     "InterfaceSpec",

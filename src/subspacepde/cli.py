@@ -24,6 +24,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, from_dict, load_config
 from .problems import BUILTIN_NAMES, BUILTIN_SUMMARIES, builtin
 from .solver import SolveReport, solve
@@ -69,20 +71,16 @@ def _fmt(value: float | None) -> str:
 
 
 def _write_solution_csv(report: SolveReport, path: Path) -> None:
-    assert report.samples is not None
     points, u_hat, u_exact = report.samples
     dim = points.shape[1]
-    coord_names = [f"x{i}" for i in range(dim)] if dim > 1 else ["x"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        header = coord_names + ["u"]
-        if u_exact is not None:
-            header += ["exact", "error"]
-        fh.write(",".join(header) + "\n")
-        for i in range(points.shape[0]):
-            row = [_fmt(points[i, s]) for s in range(dim)] + [_fmt(u_hat[i])]
-            if u_exact is not None:
-                row += [_fmt(u_exact[i]), _fmt(u_hat[i] - u_exact[i])]
-            fh.write(",".join(row) + "\n")
+    header = ([f"x{i}" for i in range(dim)] if dim > 1 else ["x"]) + ["u"]
+    columns = [points, u_hat]
+    if u_exact is not None:
+        header += ["exact", "error"]
+        columns += [u_exact, u_hat - u_exact]
+    np.savetxt(
+        path, np.column_stack(columns), fmt="%.16e", delimiter=",", header=",".join(header), comments=""
+    )
 
 
 def _summary_line(report: SolveReport) -> str:

@@ -10,6 +10,7 @@ unknown keys; errors carry the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import jsonschema
@@ -18,7 +19,7 @@ from .expressions import ExpressionError, compile_expression
 from .geometry import SPATIAL, TEMPORAL, DomainSpec, PartitionSpec
 from .network import NetworkConfig
 from .problems import BUILTIN_NAMES, LinearTerm, ProblemSpec, builtin
-from .solver import EvaluationSpec, NonlinearConfig, SamplingConfig
+from .solver import NonlinearConfig, SamplingConfig
 from .training import TrainingConfig
 
 
@@ -150,7 +151,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "required": ["counts"],
-            "properties": {"counts": _COUNTS},
+            "properties": {"counts": _SAMPLE_COUNTS},
         },
         "output_dir": {"type": "string", "minLength": 1},
         "dump_system": {"type": "string", "pattern": "\\.npz$"},
@@ -169,7 +170,7 @@ class RunConfig:
     init_mode: str
     training: TrainingConfig
     nonlinear: NonlinearConfig | None
-    evaluation: EvaluationSpec | None
+    evaluation: tuple[int, ...] | None
     output_dir: str
     dump_system: str | None
     training_log: bool
@@ -249,8 +250,18 @@ def _build_custom_problem(doc: dict) -> ProblemSpec:
         raise ConfigError(f"problem: {exc}") from exc
 
 
+def _reject_non_finite(node, path: str = "<root>") -> None:
+    # NaN and +/-Infinity pass every numeric bound of the schema
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{path}: non-finite number {json.dumps(node)} is not allowed")
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        _reject_non_finite(value, str(key) if path == "<root>" else f"{path}.{key}")
+
+
 def from_dict(doc: dict) -> RunConfig:
     """Validate a raw config document and materialize every component."""
+    _reject_non_finite(doc)
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
@@ -304,12 +315,9 @@ def from_dict(doc: dict) -> RunConfig:
     elif "nonlinear" in doc:
         raise ConfigError(f"nonlinear: problem {problem.name!r} has no nonlinear term")
 
-    evaluation = None
-    if "evaluation" in doc:
-        eval_counts = doc["evaluation"]["counts"]
-        if len(eval_counts) != dim:
-            raise ConfigError(f"evaluation.counts: needs {dim} entries")
-        evaluation = EvaluationSpec(counts=tuple(eval_counts))
+    evaluation = tuple(doc["evaluation"]["counts"]) if "evaluation" in doc else None
+    if evaluation is not None and len(evaluation) != dim:
+        raise ConfigError(f"evaluation.counts: needs {dim} entries")
 
     return RunConfig(
         problem=problem,
@@ -327,15 +335,10 @@ def from_dict(doc: dict) -> RunConfig:
     )
 
 
-def _reject_constant(name: str):
-    # json accepts NaN and +/-Infinity, which no numeric bound of the schema rejects
-    raise ConfigError(f"non-finite number {name} is not allowed")
-
-
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

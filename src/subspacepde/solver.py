@@ -40,15 +40,14 @@ from .assembly import (
     solve_least_squares,
 )
 from .geometry import (
-    DomainSpec,
     PartitionSpec,
     SubdomainSpec,
+    _box_grid,
     find_owners,
     partition,
     sample_boundary,
     sample_interface,
     sample_interior,
-    _tensor_grid,
 )
 from .network import (
     BasisEval,
@@ -235,13 +234,10 @@ class Discretization:
         ]
 
         boundary_values = np.zeros((len(self.boundary), self.network.subspace_dim))
-        if len(self.boundary):
-            owners = self.boundary.owners
-            for sub in self.subdomains:
-                mask = owners == sub.index
-                if mask.any():
-                    ev = eval_basis(self.params[sub.index], sub, self.boundary.points[mask])
-                    boundary_values[mask] = ev.values
+        for _, mask, values in _by_owner(
+            self.boundary.points, self.boundary.owners, self.subdomains, self.params
+        ):
+            boundary_values[mask] = values
         self.boundary_block = assemble_boundary_rows(
             problem, self.indexing, self.boundary, boundary_values
         )
@@ -311,6 +307,14 @@ class Discretization:
         return float(np.linalg.norm(np.concatenate(parts)))
 
 
+def _by_owner(points: Array, owners, subdomains: Sequence[SubdomainSpec], params: Sequence[NetworkParams]):
+    """Yield (subdomain, mask, basis values) for each subdomain owning some of ``points``."""
+    for sub in subdomains:
+        mask = owners == sub.index
+        if mask.any():
+            yield sub, mask, eval_basis(params[sub.index], sub, points[mask]).values
+
+
 def evaluate_solution(
     points: Array,
     subdomains: Sequence[SubdomainSpec],
@@ -319,89 +323,23 @@ def evaluate_solution(
 ) -> Array:
     """Evaluate the assembled solution at arbitrary points of the domain."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    owners = find_owners(pts, subdomains)
     out = np.empty(pts.shape[0])
-    for sub in subdomains:
-        mask = owners == sub.index
-        if mask.any():
-            ev = eval_basis(params[sub.index], sub, pts[mask])
-            out[mask] = ev.values @ beta.block(sub.index)
+    for sub, mask, values in _by_owner(pts, find_owners(pts, subdomains), subdomains, params):
+        out[mask] = values @ beta.block(sub.index)
     return out
 
 
-@dataclass(frozen=True)
-class EvaluationSpec:
-    """Uniform evaluation grid over the whole domain, per-axis totals."""
+def _finish_report(disc: Discretization, beta: CoefficientVector, counts: Sequence[int]):
+    """The solution on the uniform ``counts`` grid: ((grid, u_hat, u_exact), norms).
 
-    counts: tuple[int, ...]
-
-
-def evaluation_grid(domain: DomainSpec, spec: EvaluationSpec) -> Array:
-    if len(spec.counts) != domain.dim:
-        raise ValueError("evaluation counts must have one entry per axis")
-    return _tensor_grid(
-        [np.linspace(lo, hi, int(n)) for (lo, hi), n in zip(domain.axes, spec.counts)]
-    )
-
-
-def _default_evaluation(partition_spec: PartitionSpec, sampling: SamplingConfig) -> EvaluationSpec:
-    counts = tuple(
-        int(c) * int(n) for c, n in zip(sampling.interior_counts, partition_spec.counts)
-    )
-    return EvaluationSpec(counts=counts)
-
-
-def _finish_report(
-    disc: Discretization,
-    beta: CoefficientVector,
-    *,
-    method: str,
-    rows: int,
-    ls_log: LstsqLog,
-    nonlinear_history: list[float],
-    nonlinear_iters: int,
-    warmup_used: int,
-    converged: bool,
-    final_residual_norm: float,
-    wall: dict[str, float],
-    evaluation: EvaluationSpec | None,
-    partition_spec: PartitionSpec,
-    sampling: SamplingConfig,
-) -> SolveReport:
-    problem = disc.problem
-    eval_spec = evaluation or _default_evaluation(partition_spec, sampling)
-    grid = evaluation_grid(problem.domain, eval_spec)
+    ``u_exact`` and the error norms are None when the exact solution is unknown.
+    """
+    exact = disc.problem.exact
+    grid = _box_grid(disc.problem.domain.axes, counts, "uniform", None)
     u_hat = evaluate_solution(grid, disc.subdomains, disc.params, beta)
-    norms = None
-    u_exact = None
-    if problem.exact is not None:
-        u_exact = problem.exact(grid)
-        norms = error_norms(u_hat, u_exact)
-
-    rms = final_residual_norm / np.sqrt(rows) if rows else 0.0
-    return SolveReport(
-        problem=problem.name,
-        method=method,
-        num_subdomains=len(disc.subdomains),
-        subspace_dim=disc.network.subspace_dim,
-        rows=rows,
-        columns=disc.indexing.width,
-        beta=beta,
-        norms=norms,
-        epochs_per_subdomain=list(disc.epochs),
-        final_rel_losses=[float(r) for r in disc.rel_losses],
-        nonlinear_iters=nonlinear_iters,
-        warmup_iters_used=warmup_used,
-        converged=converged,
-        ls_residual_history=ls_log.residual,
-        ls_rank_history=ls_log.rank,
-        ls_sigma_max_history=ls_log.sigma_max,
-        nonlinear_residual_history=nonlinear_history,
-        ls_residual_rms=float(rms),
-        interface_jump_max=disc.interface_jump_max(beta),
-        wall_times=wall,
-        samples=(grid, u_hat, u_exact),
-    )
+    u_exact = None if exact is None else exact(grid)
+    norms = None if u_exact is None else error_norms(u_hat, u_exact)
+    return (grid, u_hat, u_exact), norms
 
 
 def _iterate(
@@ -460,7 +398,7 @@ def solve(
     nonlinear: NonlinearConfig | None = None,
     *,
     init_mode: str = "glorot",
-    evaluation: EvaluationSpec | None = None,
+    evaluation: Sequence[int] | None = None,
     params_list: Sequence[NetworkParams] | None = None,
     log_dir=None,
     dump_path=None,
@@ -469,12 +407,19 @@ def solve(
 
     ``nonlinear`` is required exactly when the problem has a nonlinear
     term; its ``method`` picks Picard sweeps or a Picard warmup followed by
-    Newton steps.  ``dump_path`` receives the first assembled system.
+    Newton steps.  ``evaluation`` holds the per-axis point counts of the
+    uniform grid the solution is reported on; it defaults to the sampling
+    count times the partition count of each axis.  ``dump_path`` receives
+    the first assembled system.
     """
     start = time.perf_counter()
     term = problem.nonlinear
     if (term is None) != (nonlinear is None):
         raise ValueError("a nonlinear config is needed exactly when the problem has a nonlinear term")
+    if evaluation is None:
+        evaluation = [c * n for c, n in zip(sampling.interior_counts, partition_spec.counts)]
+    if len(evaluation) != problem.dim:
+        raise ValueError("evaluation counts must have one entry per axis")
     disc = Discretization(
         problem, partition_spec, sampling, network, training, init_mode, params_list, log_dir
     )
@@ -519,21 +464,29 @@ def solve(
         "solve": time.perf_counter() - t0,
     }
     t0 = time.perf_counter()
-    report = _finish_report(
-        disc,
-        beta,
+    samples, norms = _finish_report(disc, beta, evaluation)
+    report = SolveReport(
+        problem=problem.name,
         method="linear" if nonlinear is None else nonlinear.method,
+        num_subdomains=len(disc.subdomains),
+        subspace_dim=network.subspace_dim,
         rows=rows,
-        ls_log=ls_log,
-        nonlinear_history=nonlinear_history,
+        columns=disc.indexing.width,
+        beta=beta,
+        norms=norms,
+        epochs_per_subdomain=disc.epochs,
+        final_rel_losses=[float(r) for r in disc.rel_losses],
         nonlinear_iters=iters,
-        warmup_used=warmup_used,
+        warmup_iters_used=warmup_used,
         converged=converged,
-        final_residual_norm=final_residual,
-        wall=wall,
-        evaluation=evaluation,
-        partition_spec=partition_spec,
-        sampling=sampling,
+        ls_residual_history=ls_log.residual,
+        ls_rank_history=ls_log.rank,
+        ls_sigma_max_history=ls_log.sigma_max,
+        nonlinear_residual_history=nonlinear_history,
+        ls_residual_rms=float(final_residual / np.sqrt(rows)),
+        interface_jump_max=disc.interface_jump_max(beta),
+        wall_times=wall,
+        samples=samples,
     )
     wall["evaluate"] = time.perf_counter() - t0
     wall["total"] = time.perf_counter() - start

@@ -89,6 +89,18 @@ class TestConfigValidation:
         assert config.training.rel_tol == 1e-3
         assert config.sampling.seed == 202
 
+    @pytest.mark.parametrize(
+        "section, key, value, spelled",
+        [("nonlinear", "tol", float("nan"), "NaN"), ("training", "learning_rate", float("inf"), "Infinity")],
+    )
+    def test_non_finite_number_in_dict_names_field(self, tmp_path, section, key, value, spelled):
+        # from_dict is the entry point of library callers, which pass Python floats
+        problem = "nonlinear_helmholtz1d" if section == "nonlinear" else "helmholtz1d"
+        doc = tiny_config(tmp_path, problem=problem)
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: non-finite number {spelled} "):
+            from_dict(doc)
+
     def test_omitted_sections_take_dataclass_defaults(self):
         config = from_dict(
             {
@@ -194,6 +206,15 @@ class TestSolveCommand:
         )
         assert main(["solve", write_config(tmp_path, doc)]) == 2
         assert "sampling.counts" in capsys.readouterr().err
+
+    def test_evaluation_count_below_two_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve was called")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        doc = tiny_config(tmp_path, evaluation={"counts": [1]})
+        assert main(["solve", write_config(tmp_path, doc)]) == 2
+        assert "evaluation.counts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["boundary_counts", "interface_counts"])
     def test_removed_count_override_is_unknown_key(self, tmp_path, capsys, key):

@@ -13,17 +13,15 @@ from subspacepde.assembly import (
     assemble_pde_rows,
     solve_least_squares,
 )
-from subspacepde.geometry import DomainSpec, PartitionSpec, partition, sample_boundary, sample_interior
+from subspacepde.geometry import PartitionSpec, partition, sample_boundary, sample_interior
 from subspacepde.network import CoefficientVector, NetworkConfig, eval_basis, init_params
 from subspacepde.problems import NonlinearTerm, ProblemSpec, builtin
 from subspacepde.solver import (
     Discretization,
-    EvaluationSpec,
     NonlinearConfig,
     SamplingConfig,
     _iterate,
     evaluate_solution,
-    evaluation_grid,
     solve,
 )
 from subspacepde.training import TrainingConfig
@@ -37,6 +35,17 @@ def tiny_linear_setup(parts=(2,), M=40, epochs_zero=True):
         sampling=SamplingConfig(interior_counts=(60,), seed=202),
         network=NetworkConfig(input_dim=1, hidden_widths=(30,), subspace_dim=M),
         training=TrainingConfig(max_epochs=50, epochs_zero=epochs_zero, seed=202),
+    )
+
+
+def tiny_poisson2d_setup(problem):
+    """Positional (problem, partition, sampling, network, training) of an untrained 2x2 solve."""
+    return (
+        problem,
+        PartitionSpec((2, 2)),
+        SamplingConfig(interior_counts=(5, 5), seed=202),
+        NetworkConfig(input_dim=2, hidden_widths=(10,), subspace_dim=12),
+        TrainingConfig(epochs_zero=True),
     )
 
 
@@ -93,7 +102,7 @@ class TestSolveLinear:
         report = solve(
             **tiny_linear_setup(),
             init_mode="uniform_range",
-            evaluation=EvaluationSpec(counts=(17,)),
+            evaluation=(17,),
         )
         assert report.samples[0].shape == (17, 1)
 
@@ -356,10 +365,25 @@ class TestNonlinearDrivers:
 
 class TestEvaluationHelpers:
     def test_evaluation_grid_counts(self):
-        dom = DomainSpec.box([(0, 1), (0, 2)])
-        grid = evaluation_grid(dom, EvaluationSpec(counts=(3, 5)))
+        problem = builtin("poisson2d")
+        report = solve(*tiny_poisson2d_setup(problem), init_mode="uniform_range", evaluation=(3, 5))
+        grid = report.samples[0]
         assert grid.shape == (15, 2)
-        assert grid[:, 0].min() == 0.0 and grid[:, 1].max() == 2.0
+        (x0, x1), (y0, y1) = problem.domain.axes
+        assert grid[0].tolist() == [x0, y0] and grid[-1].tolist() == [x1, y1]
+
+    def test_evaluation_counts_need_one_entry_per_axis(self):
+        with pytest.raises(ValueError, match="one entry per axis"):
+            solve(**tiny_linear_setup(), init_mode="uniform_range", evaluation=(17, 17))
+
+    def test_report_and_boundary_rows_share_the_owner_rule(self):
+        # Points on a shared corner or edge belong to the lowest subdomain id
+        # both in the boundary rows and in the reported solution.
+        disc = Discretization(*tiny_poisson2d_setup(builtin("poisson2d")), init_mode="uniform_range")
+        values = np.random.default_rng(0).standard_normal(disc.indexing.width)
+        beta = CoefficientVector(values, disc.network.subspace_dim)
+        u = evaluate_solution(disc.boundary.points, disc.subdomains, disc.params, beta)
+        np.testing.assert_allclose(u, disc.boundary_block.matvec(values), rtol=1e-13)
 
     def test_evaluate_solution_piecewise(self):
         problem = builtin("helmholtz1d")
@@ -368,7 +392,6 @@ class TestEvaluationHelpers:
             problem.domain, PartitionSpec((2,)), problem.default_continuity_orders()
         )
         grid = np.linspace(0, 8, 33)[:, None]
-        disc_params = report  # evaluate via stored samples instead
         u = evaluate_solution(
             grid,
             subs,
