@@ -15,10 +15,10 @@ are often nearly dependent, so the truncation is what keeps the solve
 stable.
 
 Nonlinear problems use one linearization of the PDE rows around the
-current iterate u: the nonlinear term N moves to the right-hand side at
-its current value, and each slot alpha listed as ``live`` (u or one of its
-derivatives) keeps dN/d(alpha) in the matrix, with dN/d(alpha) * u_alpha
-added back to the right-hand side.  Picard keeps live the derivatives the
+current iterate u, `ProblemSpec.linearize`: the nonlinear term N moves to
+the right-hand side at its current value, and each slot alpha listed as
+``live`` (u or one of its derivatives) keeps dN/d(alpha) in the matrix,
+with dN/d(alpha) * u_alpha added back to the right-hand side.  Picard keeps live the derivatives the
 term reads, as lagged coefficients (freezing all of u u_x makes the sweep
 repel); Newton keeps every partial live, which poses the Jacobian rows for
 the updated coefficients rather than for a correction, whose null-space
@@ -123,30 +123,19 @@ def assemble_pde_rows(
     u_derivs: Mapping[MultiIndex, Array] | None = None,
     live: Sequence[MultiIndex] = (),
 ) -> RowBlock:
-    """Operator rows for one subdomain: sum of coefficient x basis derivative.
+    """Operator rows for one subdomain: sum of weight x basis derivative.
 
-    Weights start as the linear operator's coefficients and the right-hand
-    side as the source.  With an iterate ``(u, u_derivs)`` the nonlinear
-    term N moves to the right-hand side at its current value, and each
-    slot alpha in ``live`` adds dN/d(alpha) to the weight of alpha and
-    dN/d(alpha) * u_alpha to the right-hand side.  Linear problems pass no
-    iterate.
+    The weights and the right-hand side come from `ProblemSpec.linearize`
+    around the iterate ``(u, u_derivs)`` with the slots in ``live``: the
+    rows carry the weights, and the right-hand side is the source minus the
+    part of N not carried by live slots.  Linear problems pass no iterate.
     """
     pts = points.points if isinstance(points, PointSet) else np.atleast_2d(points)
     n = pts.shape[0]
-    zero = (0,) * problem.dim
-    weights = problem.linear_row_weights(pts)
+    weights, remainder = problem.linearize(pts, u, u_derivs, live)
     rhs = problem.source(pts).astype(float, copy=True)
-    if u is not None:
-        # The part of N not carried by live slots is formed before it meets
-        # the source: for u u_x with u_x live it cancels to exactly zero.
-        term = problem.nonlinear
-        remainder = term.value(pts, u, u_derivs).astype(float, copy=True)
-        for alpha in live:
-            partial = term.partials[alpha](pts, u, u_derivs)
-            weights[alpha] = weights[alpha] + partial if alpha in weights else partial
-            remainder -= partial * (u if alpha == zero else u_derivs[alpha])
-        rhs -= remainder
+    if remainder is not None:
+        rhs -= remainder  # formed whole before it meets the source
     local = np.zeros((n, basis.num_basis))
     for alpha, coef in weights.items():
         local += np.asarray(coef)[:, None] * basis.deriv(alpha)

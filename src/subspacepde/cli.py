@@ -12,13 +12,15 @@ Outputs land under the config's ``output_dir``: ``report.json`` and
 
 The ``SUBSPACEPDE_WORKERS`` environment variable sets how many sweep cells
 run concurrently (a positive integer, default 1); aggregation stays in the
-parent process.
+parent process.  A failing cell, at any worker count, becomes a
+``failed: ...`` row of ``sweep.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -135,10 +137,7 @@ def _parse_sweep_values(axis: str, values: str) -> list:
     if not items:
         raise ConfigError("sweep needs at least one value")
     if axis == "sampling":
-        for item in items:
-            if item not in ("uniform", "gauss", "random"):
-                raise ConfigError(f"unknown sampling strategy {item!r}")
-        return items
+        return items  # each cell's config validates the strategy name
     try:
         return [int(v) for v in items]
     except ValueError:
@@ -146,9 +145,11 @@ def _parse_sweep_values(axis: str, values: str) -> list:
 
 
 def _run_sweep_cell(doc: dict) -> dict:
-    """One sweep cell; runs in a worker process, returns plain row data."""
-    config = from_dict(doc)
-    report = execute(config, write_outputs=False)
+    """One sweep cell, run in a worker; returns plain row data, a failure as its status."""
+    try:
+        report = execute(from_dict(doc), write_outputs=False)
+    except Exception as exc:
+        return {"status": f"failed: {exc}"}
     norms = report.norms
     return {
         "l2_abs": norms.l2_abs if norms else None,
@@ -184,21 +185,19 @@ def cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rows = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # forkserver: forking a process that runs BLAS threads is unsafe.
+        context = multiprocessing.get_context("forkserver")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             futures = [pool.submit(_run_sweep_cell, doc) for doc in cell_docs]
-            for value, future in zip(values, futures):
-                try:
-                    rows.append((value, future.result()))
-                except Exception as exc:  # a failing cell is recorded, not fatal
-                    rows.append((value, {"status": f"failed: {exc}"}))
+        # Only a worker that died leaves an exception on its future.
+        results = [
+            {"status": f"failed: {f.exception()}"} if f.exception() else f.result()
+            for f in futures
+        ]
     else:
-        for value, doc in zip(values, cell_docs):
-            try:
-                rows.append((value, _run_sweep_cell(doc)))
-            except Exception as exc:
-                rows.append((value, {"status": f"failed: {exc}"}))
+        results = [_run_sweep_cell(doc) for doc in cell_docs]
+    rows = list(zip(values, results))
 
     out_dir = Path(base.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -121,7 +121,7 @@ def init_params(config: NetworkConfig, mode: str = "glorot", seed: int = 0) -> N
     return NetworkParams(weights=tuple(weights), biases=tuple(biases))
 
 
-def normalize(points: Array, subdomain: SubdomainSpec, tol: float = CONTAINMENT_TOL) -> tuple[Array, Array]:
+def normalize(points: Array, subdomain: SubdomainSpec) -> tuple[Array, Array]:
     """Map points into [-1, 1]^dim and return the per-axis chain factors.
 
     The chain factor 2 / (b - a) per axis converts derivatives with respect
@@ -133,7 +133,7 @@ def normalize(points: Array, subdomain: SubdomainSpec, tol: float = CONTAINMENT_
     widths = hi - lo
     if np.any(widths <= 0):
         raise ValueError("subdomain has a zero-width axis")
-    if np.any(pts < lo - tol) or np.any(pts > hi + tol):
+    if np.any(pts < lo - CONTAINMENT_TOL) or np.any(pts > hi + CONTAINMENT_TOL):
         raise ValueError("point lies outside the subdomain")
     z = 2.0 * (pts - lo) / widths - 1.0
     np.clip(z, -1.0, 1.0, out=z)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -125,24 +125,40 @@ class ProblemSpec:
                 orders[s] = max(orders[s], a)
         return tuple(max(o - 1, 0) for o in orders)
 
-    def linear_row_weights(self, points: Array) -> dict[MultiIndex, Array]:
-        """Coefficient values per derivative multi-index, merged over terms."""
+    def linearize(
+        self,
+        points: Array,
+        u: Array | None = None,
+        derivs: Mapping[MultiIndex, Array] | None = None,
+        live: Sequence[MultiIndex] = (),
+    ) -> tuple[dict[MultiIndex, Array], Array | None]:
+        """Per-slot weights and the remainder of N around the iterate ``(u, derivs)``.
+
+        Weights are the linear coefficients merged over terms, plus dN/d(alpha)
+        for each slot alpha in ``live``.  The remainder N - sum over live slots
+        of dN/d(alpha) * u_alpha is formed whole (for u u_x with u_x live it is
+        exactly zero); it is None without an iterate or a nonlinear term.
+        """
         weights: dict[MultiIndex, Array] = {}
         for term in self.linear_terms:
             c = term.coefficient_at(points)
-            if term.derivative in weights:
-                weights[term.derivative] = weights[term.derivative] + c
-            else:
-                weights[term.derivative] = c
-        return weights
+            weights[term.derivative] = weights[term.derivative] + c if term.derivative in weights else c
+        if u is None or self.nonlinear is None:
+            return weights, None
+        zero = (0,) * self.dim
+        remainder = self.nonlinear.value(points, u, derivs).astype(float, copy=True)
+        for alpha in live:
+            partial = self.nonlinear.partials[alpha](points, u, derivs)
+            weights[alpha] = weights[alpha] + partial if alpha in weights else partial
+            remainder -= partial * (u if alpha == zero else derivs[alpha])
+        return weights, remainder
 
     def operator(self, points: Array, u: Array, derivs: Mapping[MultiIndex, Array]) -> Array:
-        """The operator applied to (u, derivs): linear terms, then the nonlinear term."""
+        """The operator applied to (u, derivs): weighted slots, then the nonlinear term."""
         zero = (0,) * self.dim
         total = np.zeros(points.shape[0])
-        for term in self.linear_terms:
-            block = u if term.derivative == zero else _lookup_deriv(derivs, term.derivative)
-            total += term.coefficient_at(points) * block
+        for alpha, weight in self.linearize(points)[0].items():
+            total += weight * (u if alpha == zero else _lookup_deriv(derivs, alpha))
         if self.nonlinear is not None:
             total += self.nonlinear.value(points, u, derivs)
         return total
@@ -150,20 +166,6 @@ class ProblemSpec:
     def residual(self, points: Array, u: Array, derivs: Mapping[MultiIndex, Array]) -> Array:
         """Operator applied to (u, derivs) minus the source, pointwise."""
         return self.operator(points, u, derivs) - self.source(points)
-
-    def residual_weights(
-        self, points: Array, u: Array, derivs: Mapping[MultiIndex, Array]
-    ) -> dict[MultiIndex, Array]:
-        """d(residual)/d(u and each derivative), for gradients and Jacobians."""
-        zero = (0,) * self.dim
-        weights = self.linear_row_weights(points)
-        out: dict[MultiIndex, Array] = dict(weights)
-        if self.nonlinear is not None:
-            for alpha, partial in self.nonlinear.partials.items():
-                p = partial(points, u, derivs)
-                out[alpha] = out.get(alpha, 0.0) + p
-        out.setdefault(zero, np.zeros(points.shape[0]))
-        return out
 
 
 def _lookup_deriv(derivs: Mapping[MultiIndex, Array], alpha: MultiIndex) -> Array:

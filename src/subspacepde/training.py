@@ -125,7 +125,8 @@ def _loss_and_gradient(
 
     r_bar = (2.0 / len(points)) * r
     g = np.zeros((len(sums), len(points), 1))
-    for alpha, w in problem.residual_weights(points, sums[0], derivs).items():
+    live = tuple(problem.nonlinear.partials) if problem.nonlinear is not None else ()
+    for alpha, w in problem.linearize(points, sums[0], derivs, live)[0].items():
         g[channel[alpha], :, 0] += r_bar * w
     return loss, _backward(params, outs, pres, g, pairs)
 

@@ -375,14 +375,38 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["sweep", cfg, "--axis", "subspace_dim", "--values", "abc"]) == 2
 
-    def test_failing_cell_recorded_and_continues(self, tmp_path):
+    def test_invalid_cell_config_fails_the_whole_sweep_up_front(self, tmp_path):
         out = tmp_path / "out"
         doc = tiny_config(out)
         cfg = write_config(tmp_path, doc)
         # subspace_dim 0 fails config materialization inside the cell;
         # validated upfront, so this is a config error for the whole sweep
         assert main(["sweep", cfg, "--axis", "subspace_dim", "--values", "0,30"]) == 2
+        assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_cell_recorded_and_sweep_continues(self, tmp_path, monkeypatch, workers):
+        # A pole at x = 0.5 is a grid point with two subdomains but not with
+        # one, so only the first cell's training loss is infinite.
+        monkeypatch.setenv("SUBSPACEPDE_WORKERS", workers)
+        out = tmp_path / "out"
+        doc = tiny_config(out)
+        doc["problem"] = {
+            "name": "pole",
+            "domain": {"axes": [[0.0, 1.0]]},
+            "linear_terms": [{"coefficient": 1, "derivative": [2]}],
+            "source": "1 / (x - 0.5)",
+            "boundary": "0",
+        }
+        doc["training"] = {"max_epochs": 5}
+        cfg = write_config(tmp_path, doc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["sweep", cfg, "--axis", "subdomains", "--values", "2,1"]) == 0
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["value"] for r in rows] == ["2", "1"]
+        assert rows[0]["status"] == "failed: non-finite training loss inf at epoch 0"
+        assert rows[1]["status"] == "ok"
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-1"])
     def test_bad_worker_count_is_config_error(self, tmp_path, capsys, monkeypatch, value):

@@ -226,6 +226,14 @@ class TestSampleBoundary:
         assert len(idx) == 1
         assert ps.owners[idx[0]] == 0
 
+    def test_owners_follow_find_owners_on_random_space_time(self):
+        # Neighbouring subdomains' random facet grids put different points
+        # on a shared edge; each goes to the lowest id that holds it.
+        dom = DomainSpec.space_time([(0, 1), (0, 1)], (0, 1))
+        subs, _ = partition(dom, PartitionSpec((2, 2, 2)))
+        ps = sample_boundary(dom, subs, [5, 4, 3], "random", seed=202)
+        np.testing.assert_array_equal(ps.owners, find_owners(ps.points, subs))
+
     def test_no_duplicate_points(self):
         dom = DomainSpec.box([(0, 2), (0, 2)])
         subs, _ = partition(dom, PartitionSpec((4, 4)))

@@ -231,16 +231,37 @@ class TestProblemSpecValidation:
                 continuity_orders=orders,
             )
 
-    def test_residual_weights_merge_linear_and_nonlinear(self):
+    def test_linearize_every_partial_merges_linear_and_nonlinear(self):
         p = builtin("burgers1d")
         rng = np.random.default_rng(1)
         pts = random_points(p, 10, rng)
         u = rng.normal(size=10)
         derivs = {alpha: rng.normal(size=10) for alpha in p.operator_orders()}
-        w = p.residual_weights(pts, u, derivs)
+        w = p.linearize(pts, u, derivs, tuple(p.nonlinear.partials))[0]
         # d/du_x picks up the frozen u from the advection term
         np.testing.assert_allclose(w[(1, 0)], u)
         # time derivative coefficient is the constant 1
         np.testing.assert_allclose(w[(0, 1)], 1.0)
         np.testing.assert_allclose(w[(2, 0)], -0.01)
         np.testing.assert_allclose(w[(0, 0)], derivs[(1, 0)])
+
+    def test_linearize_lagged_advection_leaves_no_remainder(self):
+        # Picard's u u_x with u_x live: the weight of (1, 0) is its linear
+        # coefficient (none) plus u, and N - u * u_x cancels exactly.
+        p = builtin("burgers1d")
+        rng = np.random.default_rng(2)
+        pts = random_points(p, 10, rng)
+        u = rng.normal(size=10)
+        derivs = {alpha: rng.normal(size=10) for alpha in p.operator_orders()}
+        w, remainder = p.linearize(pts, u, derivs, live=((1, 0),))
+        assert set(w) == {(0, 1), (2, 0), (1, 0)}
+        np.testing.assert_array_equal(w[(1, 0)], u)
+        np.testing.assert_array_equal(remainder, 0.0)
+
+    def test_linearize_without_iterate_is_the_linear_part(self):
+        p = builtin("burgers1d")
+        pts = random_points(p, 4, np.random.default_rng(3))
+        w, remainder = p.linearize(pts)
+        assert remainder is None
+        assert set(w) == {(0, 1), (2, 0)}
+        np.testing.assert_array_equal(w[(2, 0)], -0.01)

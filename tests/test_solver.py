@@ -13,9 +13,15 @@ from subspacepde.assembly import (
     assemble_pde_rows,
     solve_least_squares,
 )
-from subspacepde.geometry import PartitionSpec, partition, sample_boundary, sample_interior
+from subspacepde.geometry import (
+    DomainSpec,
+    PartitionSpec,
+    partition,
+    sample_boundary,
+    sample_interior,
+)
 from subspacepde.network import CoefficientVector, NetworkConfig, eval_basis, init_params
-from subspacepde.problems import NonlinearTerm, ProblemSpec, builtin
+from subspacepde.problems import LinearTerm, NonlinearTerm, ProblemSpec, builtin
 from subspacepde.solver import (
     Discretization,
     NonlinearConfig,
@@ -45,6 +51,33 @@ def tiny_poisson2d_setup(problem):
         PartitionSpec((2, 2)),
         SamplingConfig(interior_counts=(5, 5), seed=202),
         NetworkConfig(input_dim=2, hidden_widths=(10,), subspace_dim=12),
+        TrainingConfig(epochs_zero=True),
+    )
+
+
+def tiny_heat2d_random_setup():
+    """Positional setup of an untrained 2x2x2 space-time solve on random points."""
+
+    def zero(pts):
+        return np.zeros(pts.shape[0])
+
+    problem = ProblemSpec(
+        name="heat2d",
+        domain=DomainSpec.space_time([(0.0, 1.0), (0.0, 1.0)], (0.0, 1.0)),
+        linear_terms=(
+            LinearTerm(1.0, (0, 0, 1)),
+            LinearTerm(-1.0, (2, 0, 0)),
+            LinearTerm(-1.0, (0, 2, 0)),
+        ),
+        source=zero,
+        boundary=zero,
+        initial=zero,
+    )
+    return (
+        problem,
+        PartitionSpec((2, 2, 2)),
+        SamplingConfig(interior_counts=(5, 4, 3), strategy="random", seed=202),
+        NetworkConfig(input_dim=3, hidden_widths=(10,), subspace_dim=12),
         TrainingConfig(epochs_zero=True),
     )
 
@@ -378,12 +411,14 @@ class TestEvaluationHelpers:
 
     def test_report_and_boundary_rows_share_the_owner_rule(self):
         # Points on a shared corner or edge belong to the lowest subdomain id
-        # both in the boundary rows and in the reported solution.
-        disc = Discretization(*tiny_poisson2d_setup(builtin("poisson2d")), init_mode="uniform_range")
-        values = np.random.default_rng(0).standard_normal(disc.indexing.width)
-        beta = CoefficientVector(values, disc.network.subspace_dim)
-        u = evaluate_solution(disc.boundary.points, disc.subdomains, disc.params, beta)
-        np.testing.assert_allclose(u, disc.boundary_block.matvec(values), rtol=1e-13)
+        # both in the boundary rows and in the reported solution; on random
+        # 3-D facets neighbours sample different points of a shared edge.
+        for setup in (tiny_poisson2d_setup(builtin("poisson2d")), tiny_heat2d_random_setup()):
+            disc = Discretization(*setup, init_mode="uniform_range")
+            values = np.random.default_rng(0).standard_normal(disc.indexing.width)
+            beta = CoefficientVector(values, disc.network.subspace_dim)
+            u = evaluate_solution(disc.boundary.points, disc.subdomains, disc.params, beta)
+            np.testing.assert_allclose(u, disc.boundary_block.matvec(values), rtol=1e-13)
 
     def test_evaluate_solution_piecewise(self):
         problem = builtin("helmholtz1d")

@@ -188,7 +188,8 @@ def per_channel_loss_gradient(params, problem, sub, pts):
     g_z = np.zeros_like(z)
     g1 = {s: np.zeros_like(z) for s in first}
     g2 = {k: np.zeros_like(z) for k in second}
-    for a, w in problem.residual_weights(pts, u, derivs).items():
+    live = tuple(problem.nonlinear.partials) if problem.nonlinear is not None else ()
+    for a, w in problem.linearize(pts, u, derivs, live)[0].items():
         channel(a, g1, g2, g_z)[...] += (r_bar * w)[:, None]
 
     grads = []
