@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import argparse
 import copy
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +184,10 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
 
     if workers > 1:
+        # Imported here: a solve process has no use for them (~1 MB resident).
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # forkserver: forking a process that runs BLAS threads is unsafe.
         context = multiprocessing.get_context("forkserver")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

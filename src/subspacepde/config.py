@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
+import re
 from dataclasses import dataclass
-
-import jsonschema
 
 from .expressions import ExpressionError, compile_expression
 from .geometry import SPATIAL, TEMPORAL, DomainSpec, PartitionSpec
@@ -250,24 +251,78 @@ def _build_custom_problem(doc: dict) -> ProblemSpec:
         raise ConfigError(f"problem: {exc}") from exc
 
 
-def _reject_non_finite(node, path: str = "<root>") -> None:
-    # NaN and +/-Infinity pass every numeric bound of the schema
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{path}: non-finite number {json.dumps(node)} is not allowed")
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, value in items:
-        _reject_non_finite(value, str(key) if path == "<root>" else f"{path}.{key}")
+_TYPES = dict(object=dict, array=list, string=str, boolean=bool, number=numbers.Number, integer=int)
+# keyword -> (the type it constrains, test that the value breaks it, message)
+_RULES = {
+    "minimum": ("number", operator.lt, "is less than the minimum of"),
+    "maximum": ("number", operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": ("number", operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": ("number", operator.ge, "is greater than or equal to the maximum of"),
+    "minItems": ("array", lambda v, n: len(v) < n, "has fewer items than"),
+    "maxItems": ("array", lambda v, n: len(v) > n, "has more items than"),
+    "minLength": ("string", lambda v, n: len(v) < n, "is shorter than"),
+    "pattern": ("string", lambda v, p: not re.search(p, v), "does not match"),
+}
+_KEYWORDS = {
+    "$schema", "type", "enum", "oneOf", "items", "required", "properties", "additionalProperties", *_RULES
+}
+
+
+def _is_type(value, names) -> bool:
+    # As in draft 2020-12: a bool is not a number, and 2.0 is an integer.
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return any(
+        isinstance(value, bool) == (name == "boolean") and isinstance(value, _TYPES[name])
+        for name in ([names] if isinstance(names, str) else names)
+    )
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) per broken rule; only the draft 2020-12 keywords SCHEMA uses exist."""
+    if schema.keys() - _KEYWORDS or schema.get("additionalProperties", False) is not False:
+        raise NotImplementedError(f"schema keywords {sorted(schema)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        # not JSON, and NaN passes every numeric bound
+        yield path, f"non-finite number {json.dumps(value)} is not allowed"
+    if "type" in schema and not _is_type(value, schema["type"]):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    for keyword, (kind, broken, text) in _RULES.items():
+        if keyword in schema and _is_type(value, kind) and broken(value, schema[keyword]):
+            yield path, f"{value!r} {text} {schema[keyword]!r}"
+    if "oneOf" in schema:
+        failures = [list(_schema_errors(value, sub, path)) for sub in schema["oneOf"]]
+        valid = failures.count([])
+        # With no branch valid, the one branch of the value's type says why.
+        typed = [f for f, sub in zip(failures, schema["oneOf"]) if _is_type(value, sub.get("type", ()))]
+        if valid == 0 and len(typed) == 1:
+            yield from typed[0]
+        elif valid != 1:
+            yield path, f"{value!r} is valid under {valid} of the given schemas, not one"
+    if "items" in schema and isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _schema_errors(item, schema["items"], (*path, i))
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        extra = [key for key in value if key not in properties]
+        if extra and "additionalProperties" in schema:
+            yield path, f"additional properties are not allowed: {', '.join(map(repr, extra))}"
+        for key, sub in properties.items():
+            if key in value:
+                yield from _schema_errors(value[key], sub, (*path, key))
 
 
 def from_dict(doc: dict) -> RunConfig:
     """Validate a raw config document and materialize every component."""
-    _reject_non_finite(doc)
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {err.message}")
+    error = min(_schema_errors(doc, SCHEMA), key=lambda e: len(e[0]), default=None)
+    if error is not None:
+        path, message = error
+        raise ConfigError(f"{'.'.join(map(str, path)) or '<root>'}: {message}")
 
     problem_doc = doc["problem"]
     problem = builtin(problem_doc) if isinstance(problem_doc, str) else _build_custom_problem(problem_doc)

@@ -299,15 +299,15 @@ def sample_boundary(
     Every spatial boundary facet is sampled per owning subdomain facet, on
     the subdomain's grid restricted to that facet; a temporal axis
     contributes only its lower (initial-condition) facet.  A point sampled
-    twice keeps its first occurrence and that occurrence's initial flag;
-    its owner comes from `find_owners`.
+    twice keeps its first occurrence; its owner comes from `find_owners`.
+    A point takes initial data only where it lies on the t = lower facet
+    and on no spatial boundary facet, whichever facet sampled it.
     """
     if len(counts) != domain.dim:
         raise ValueError("counts must have one entry per axis")
     t_axis = domain.temporal_axis
 
     grids: list[Array] = []
-    flags: list[Array] = []
     for sub in sorted(subdomains, key=lambda s: s.index):
         for axis in range(domain.dim):
             for side in (0, 1):
@@ -320,7 +320,6 @@ def sample_boundary(
                 facet[axis] = (facet_value, facet_value)
                 rng = _rng(strategy, seed, sub.index, axis, side)
                 grids.append(_box_grid(facet, counts, strategy, rng))
-                flags.append(np.full(len(grids[-1]), axis == t_axis))
 
     # A point sampled twice keeps its first index (np.unique(axis=0) would
     # too, but its sort code adds ~0.4 MB to the benchmark's peak RSS).
@@ -330,7 +329,13 @@ def sample_boundary(
         first.setdefault(row.tobytes(), k)
     keep = list(first.values())
     points = stacked[keep]
-    return PointSet(points, find_owners(points, subdomains), np.concatenate(flags)[keep])
+    initial = np.zeros(len(points), dtype=bool)
+    if t_axis is not None:
+        lo, hi = np.array(domain.axes).T
+        on_side = (np.abs(points - lo) <= CONTAINMENT_TOL) | (np.abs(points - hi) <= CONTAINMENT_TOL)
+        on_side[:, t_axis] = False
+        initial = (np.abs(points[:, t_axis] - lo[t_axis]) <= CONTAINMENT_TOL) & ~on_side.any(axis=1)
+    return PointSet(points, find_owners(points, subdomains), initial)
 
 
 def sample_interface(

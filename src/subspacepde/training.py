@@ -34,6 +34,10 @@ class TrainingError(RuntimeError):
         self.epoch = epoch
         self.loss = loss
 
+    def __reduce__(self):
+        # RuntimeError would pickle only the message, not these arguments
+        return type(self), (self.epoch, self.loss)
+
 
 @dataclass(frozen=True)
 class TrainingConfig:

@@ -1,9 +1,7 @@
 """CLI: config validation, run outputs, sweeps, problem listing."""
 
 import csv
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +41,6 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def benchmark_workloads(monkeypatch):
-    """The benchmark's workloads, loaded read-only from `bench/workloads.py`."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # Dataclasses look their defining module up in sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
 
 
 class TestConfigValidation:
@@ -116,8 +103,8 @@ class TestConfigValidation:
         assert config.network == NetworkConfig(input_dim=1, subspace_dim=30)
         assert config.training_log is False
 
-    def test_benchmark_workload_configs_accepted(self, monkeypatch):
-        workloads = benchmark_workloads(monkeypatch)
+    def test_benchmark_workload_configs_accepted(self, bench_workloads):
+        workloads = bench_workloads
         assert {"helmholtz1d", "poisson2d", "burgers1d_newton"} <= set(workloads)
         for name, workload in workloads.items():
             doc = workload.config(202)
@@ -414,7 +401,8 @@ class TestSweepCommand:
             raise AssertionError("a sweep cell or worker pool was started")
 
         monkeypatch.setenv("SUBSPACEPDE_WORKERS", value)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+        # cmd_sweep imports the pool from its module only when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_work)
         monkeypatch.setattr(cli, "_run_sweep_cell", no_work)
         cfg = write_config(tmp_path, tiny_config(tmp_path / "out"))
         assert main(["sweep", cfg, "--axis", "subspace_dim", "--values", "25"]) == 2

@@ -1,5 +1,7 @@
 """Partitioning and sampling: tiling, interface counts, node rules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,33 @@ class TestSampleBoundary:
         subs, _ = partition(dom, PartitionSpec((2, 2, 2)))
         ps = sample_boundary(dom, subs, [5, 4, 3], "random", seed=202)
         np.testing.assert_array_equal(ps.owners, find_owners(ps.points, subs))
+
+    def test_side_points_at_t0_take_boundary_data_under_random_sampling(self):
+        # The t = 0 facet's random grid samples some side-edge points before
+        # any side facet does; where a point lies decides its data, not that.
+        dom = DomainSpec.space_time([(0, 1), (0, 1)], (0, 1))
+        subs, _ = partition(dom, PartitionSpec((2, 2, 2)))
+        ps = sample_boundary(dom, subs, [5, 4, 3], "random", seed=202)
+        on_sides = np.isin(ps.points[:, :2], [0.0, 1.0]).any(axis=1)
+        on_initial = ps.points[:, 2] == 0.0
+        assert (on_initial & on_sides).sum() > 20
+        np.testing.assert_array_equal(ps.initial_mask, on_initial & ~on_sides)
+
+    @pytest.mark.parametrize(
+        "domain, cells, counts, digest",
+        [
+            # the burgers1d benchmark workload's boundary
+            (DomainSpec.space_time([(0, 2 * np.pi)], (0, 1)), (4, 2), [10, 10], "d7381302229ed81b"),
+            (DomainSpec.space_time([(0, 1), (0, 1)], (0, 1)), (2, 2, 2), [5, 4, 3], "63a94e71af24c602"),
+        ],
+    )
+    def test_uniform_points_flags_and_owners_unchanged(self, domain, cells, counts, digest):
+        # digests recorded when each flag came from the first facet that
+        # sampled the point; uniform grids visit side facets first
+        subs, _ = partition(domain, PartitionSpec(cells))
+        ps = sample_boundary(domain, subs, counts, "uniform")
+        data = ps.points.tobytes() + ps.initial_mask.tobytes() + ps.owners.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
     def test_no_duplicate_points(self):
         dom = DomainSpec.box([(0, 2), (0, 2)])

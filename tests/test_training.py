@@ -1,6 +1,7 @@
 """Residual loss, exact gradients, and the Adam training loop."""
 
 import csv
+import pickle
 
 import numpy as np
 import pytest
@@ -367,6 +368,13 @@ class TestTrainSubdomain:
         with pytest.raises(TrainingError) as info:
             train_subdomain(params, problem, sub, pts, config)
         assert info.value.epoch == epoch
+
+    def test_training_error_survives_pickling(self):
+        # a process pool ships exceptions between processes this way
+        error = pickle.loads(pickle.dumps(TrainingError(3, float("inf"))))
+        assert isinstance(error, TrainingError)
+        assert (error.epoch, error.loss) == (3, float("inf"))
+        assert str(error) == "non-finite training loss inf at epoch 3"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
