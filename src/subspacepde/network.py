@@ -177,15 +177,20 @@ def forward_states(
     points: Array,
     first_axes: Sequence[int],
     second_keys: Sequence[tuple[int, int]],
-) -> tuple[list[Array], list[Array], list[tuple[int, int, int]]]:
+) -> tuple[list[Array], list[Array], list[tuple[Array, Array]], list[tuple[int, int, int]]]:
     """Run the network, propagating value and derivative channels.
 
     Each layer carries one (C, n, width) array, channels laid out as in
-    `_split_orders`, and one GEMM per layer moves all of them.  Returns the
-    channel stack after every layer, starting with the normalized input,
-    the pre-activation stack of every layer, and for each second-order key
-    (u, v) its channel with the first-order channels of u and v; the
-    training gradient re-walks all three in reverse.
+    `_split_orders`, and one GEMM per hidden layer moves all of them.  The
+    input layer's derivative channels are constant rows, so only its value
+    channel goes through a GEMM: a first-order channel along axis s has
+    the pre-activation chain[s] * W[:, s] and a second-order one is zero.
+
+    Returns the channel stack after every layer, starting with the
+    normalized input; the pre-activation stack of every layer; each
+    layer's tanh slopes (s1, s2) = (1 - s^2, -2 s s1); and for each
+    second-order key (u, v) its channel with the first-order channels of u
+    and v.  The training gradient re-walks all of them in reverse.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != params.input_dim:
@@ -202,15 +207,23 @@ def forward_states(
         for c, (u, v) in enumerate(second_keys, start=1 + len(first_axes))
     ]
 
-    outs, pres = [x], []
-    for W, b in zip(params.weights, params.biases):
-        a = (x.reshape(-1, W.shape[1]) @ W.T).reshape(len(x), n, W.shape[0])
+    outs, pres, slopes = [x], [], []
+    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+        if l == 0:
+            a = np.empty((len(x), n, W.shape[0]))
+            np.matmul(z, W.T, out=a[0])
+            for c, s in enumerate(first_axes, start=1):
+                a[c] = chain[s] * W[:, s]
+            a[1 + len(first_axes) :] = 0.0
+        else:
+            a = (x.reshape(-1, W.shape[1]) @ W.T).reshape(len(x), n, W.shape[0])
         a[0] += b
-        s_val = np.tanh(a[0])
-        s1 = 1.0 - s_val * s_val
-        s2 = -2.0 * s_val * s1
         x = np.empty_like(a)
-        x[0] = s_val
+        s_val = np.tanh(a[0], out=x[0])
+        s1 = s_val * s_val
+        np.subtract(1.0, s1, out=s1)
+        s2 = -2.0 * s_val
+        s2 *= s1
         np.multiply(a[1:], s1, out=x[1:])
         for c, u, v in pairs:
             t = s2 * a[u]
@@ -218,7 +231,8 @@ def forward_states(
             x[c] += t
         outs.append(x)
         pres.append(a)
-    return outs, pres, pairs
+        slopes.append((s1, s2))
+    return outs, pres, slopes, pairs
 
 
 @dataclass

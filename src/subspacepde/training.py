@@ -65,26 +65,48 @@ def _as_points(points: PointSet | Array) -> Array:
     return pts
 
 
+def _channels(problem: ProblemSpec, dim: int) -> tuple:
+    """(first-order axes, second-order keys, channel of each multi-index,
+    live nonlinear slots) of the problem's operator; see `_split_orders`."""
+    first_axes, second_keys, channel = _split_orders(problem.operator_orders(), dim)
+    live = tuple(problem.nonlinear.partials) if problem.nonlinear is not None else ()
+    return first_axes, second_keys, channel, live
+
+
+def _layer_views(flat: Array, params: NetworkParams) -> list[tuple[Array, Array]]:
+    """(W, b) views of a flat vector laid out like ``params``, layer by layer."""
+    views, start = [], 0
+    for W, b in zip(params.weights, params.biases):
+        mid = start + W.size
+        views.append((flat[start:mid].reshape(W.shape), flat[mid : mid + b.size]))
+        start = mid + b.size
+    return views
+
+
 def _backward(
-    params: NetworkParams,
+    weights: Sequence[Array],
     outs: list[Array],
     pres: list[Array],
+    slopes: list[tuple[Array, Array]],
     g: Array,
     pairs: Sequence[tuple[int, int, int]],
-) -> list[tuple[Array, Array]]:
+    grads: list[tuple[Array, Array]],
+) -> None:
     """Reverse pass through the derivative-propagating forward computation.
 
     ``g`` is the loss gradient with respect to the last channel stack; a
-    (C, n, 1) seed broadcasts over the basis functions.
+    (C, n, 1) seed broadcasts over the basis functions.  Each layer's
+    weight and bias gradients are written into the arrays of ``grads``.
     """
     first = range(1, len(outs[0]) - len(pairs))
-    grads: list[tuple[Array, Array]] = [None] * params.num_layers  # type: ignore[list-item]
-    for l in range(params.num_layers - 1, -1, -1):
+    for l in range(len(weights) - 1, -1, -1):
         a = pres[l]
-        s_val = outs[l + 1][0]
-        s1 = 1.0 - s_val * s_val
-        s2 = -2.0 * s_val * s1
-        s3 = s1 * (6.0 * s_val * s_val - 2.0) if pairs else None
+        s1, s2 = slopes[l]
+        if pairs:
+            s3 = 6.0 * outs[l + 1][0]
+            s3 *= outs[l + 1][0]
+            s3 -= 2.0
+            s3 *= s1
         # Gradient with respect to the pre-activation channels: each channel
         # passes through tanh'; the products of the second-order channels
         # feed the value and first-order channels too.
@@ -96,8 +118,13 @@ def _backward(
             t *= g[c]
             a_bar[0] += t
             gs2 = g[c] * s2
-            a_bar[u] += gs2 * a[v]
-            a_bar[v] += gs2 * a[u]
+            if u == v:
+                np.multiply(gs2, a[u], out=t)
+                a_bar[u] += t
+                a_bar[u] += t
+            else:
+                a_bar[u] += gs2 * a[v]
+                a_bar[v] += gs2 * a[u]
         for c in first:
             t = g[c] * s2
             t *= a[c]
@@ -105,10 +132,10 @@ def _backward(
 
         x = outs[l]
         flat = a_bar.reshape(-1, a_bar.shape[2])
-        grads[l] = (flat.T @ x.reshape(-1, x.shape[2]), a_bar[0].sum(axis=0))
+        np.matmul(flat.T, x.reshape(-1, x.shape[2]), out=grads[l][0])
+        np.sum(a_bar[0], axis=0, out=grads[l][1])
         if l > 0:
-            g = (flat @ params.weights[l]).reshape(x.shape)
-    return grads
+            g = (flat @ weights[l]).reshape(x.shape)
 
 
 def _loss_and_gradient(
@@ -116,23 +143,25 @@ def _loss_and_gradient(
     problem: ProblemSpec,
     subdomain: SubdomainSpec,
     points: Array,
-    gradient: bool = True,
-) -> tuple[float, list[tuple[Array, Array]]]:
-    first_axes, second_keys, channel = _split_orders(problem.operator_orders(), params.input_dim)
-    outs, pres, pairs = forward_states(params, subdomain, points, first_axes, second_keys)
+    channels: tuple,
+    grads: list[tuple[Array, Array]] | None = None,
+) -> float:
+    """The residual loss; with ``grads``, its gradient is written there too."""
+    first_axes, second_keys, channel, live = channels
+    outs, pres, slopes, pairs = forward_states(params, subdomain, points, first_axes, second_keys)
     sums = outs[-1].sum(axis=-1)  # the solution's channels at unit coefficients
     derivs = {alpha: sums[c] for alpha, c in channel.items() if c}
     r = problem.residual(points, sums[0], derivs)
     loss = float(np.mean(r * r))
-    if not gradient:
-        return loss, []
+    if grads is None:
+        return loss
 
     r_bar = (2.0 / len(points)) * r
     g = np.zeros((len(sums), len(points), 1))
-    live = tuple(problem.nonlinear.partials) if problem.nonlinear is not None else ()
     for alpha, w in problem.linearize(points, sums[0], derivs, live)[0].items():
         g[channel[alpha], :, 0] += r_bar * w
-    return loss, _backward(params, outs, pres, g, pairs)
+    _backward(params.weights, outs, pres, slopes, g, pairs, grads)
+    return loss
 
 
 def residual_loss(
@@ -142,7 +171,8 @@ def residual_loss(
     points: PointSet | Array,
 ) -> float:
     """Mean squared PDE residual over the point set, coefficients == 1."""
-    return _loss_and_gradient(params, problem, subdomain, _as_points(points), gradient=False)[0]
+    channels = _channels(problem, params.input_dim)
+    return _loss_and_gradient(params, problem, subdomain, _as_points(points), channels)
 
 
 def loss_gradient(
@@ -152,39 +182,52 @@ def loss_gradient(
     points: PointSet | Array,
 ) -> list[tuple[Array, Array]]:
     """Exact gradient of `residual_loss` for every weight matrix and bias."""
-    return _loss_and_gradient(params, problem, subdomain, _as_points(points))[1]
+    size = sum(W.size + b.size for W, b in zip(params.weights, params.biases))
+    grads = _layer_views(np.empty(size), params)
+    channels = _channels(problem, params.input_dim)
+    _loss_and_gradient(params, problem, subdomain, _as_points(points), channels, grads)
+    return grads
 
 
 class _Adam:
-    """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    def __init__(self, shapes, learning_rate: float):
+    Updates one flat parameter vector in place; two scratch vectors hold
+    the intermediate terms, formed in the textbook order.
+    """
+
+    def __init__(self, size: int, learning_rate: float):
         self.lr = learning_rate
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._m_hat = np.empty(size)
+        self._v_hat = np.empty(size)
 
-    def step(self, values: list[Array], grads: list[Array]) -> list[Array]:
+    def step(self, theta: Array, grad: Array) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        out = []
-        for i, (x, g) in enumerate(zip(values, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            out.append(x - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
-        return out
-
-
-def _unflatten(values: list[Array]) -> NetworkParams:
-    weights = tuple(values[0::2])
-    biases = tuple(values[1::2])
-    return NetworkParams(weights=weights, biases=biases)
+        m_hat, v_hat = self._m_hat, self._v_hat
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
+        self.m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=m_hat)
+        self.m += m_hat
+        self.v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=v_hat)
+        v_hat *= grad
+        self.v += v_hat
+        # theta -= (lr m_hat) / (sqrt(v_hat) + eps)
+        np.divide(self.m, bc1, out=m_hat)
+        np.divide(self.v, bc2, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat *= self.lr
+        m_hat /= v_hat
+        theta -= m_hat
 
 
 def train_subdomain(
@@ -203,12 +246,19 @@ def train_subdomain(
     (params, epochs_used, final_rel_loss); an initial loss of 0 stops at
     epoch 0 with a relative loss of 0.
     """
-    pts = points.points if isinstance(points, PointSet) else np.atleast_2d(points)
     if config.epochs_zero or config.max_epochs == 0:
         return params, 0, 1.0
+    pts = _as_points(points)
+    channels = _channels(problem, params.input_dim)
 
-    values = [v for layer in zip(params.weights, params.biases) for v in layer]
-    adam = _Adam([v.shape for v in values], config.learning_rate)
+    # One flat copy of the parameters, updated in place; `current` and the
+    # gradient arrays are views of flat vectors, built once per run.
+    theta = np.concatenate([v.ravel() for layer in zip(params.weights, params.biases) for v in layer])
+    layers = _layer_views(theta, params)
+    current = NetworkParams(weights=tuple(W for W, _ in layers), biases=tuple(b for _, b in layers))
+    grad = np.empty_like(theta)
+    grads = _layer_views(grad, params)
+    adam = _Adam(theta.size, config.learning_rate)
     losses: list[float] = []
     try:
         # The fused pass at each epoch evaluates the loss *before* that
@@ -218,18 +268,18 @@ def train_subdomain(
         # no gradient.
         for epoch in range(config.max_epochs + 1):
             last = epoch == config.max_epochs
-            try:
-                current = _unflatten(values)
-            except ValueError:
-                raise TrainingError(epoch, float("nan")) from None
-            loss, grads = _loss_and_gradient(current, problem, subdomain, pts, gradient=not last)
+            if not np.isfinite(theta).all():
+                raise TrainingError(epoch, float("nan"))
+            loss = _loss_and_gradient(
+                current, problem, subdomain, pts, channels, None if last else grads
+            )
             if not np.isfinite(loss):
                 raise TrainingError(epoch, loss)
             losses.append(loss)
             rel = loss / losses[0] if losses[0] else 0.0
             if last or rel <= config.rel_tol:
                 return current, epoch, rel
-            values = adam.step(values, [g for layer in grads for g in layer])
+            adam.step(theta, grad)
     finally:
         if log_path is not None:
             with open(log_path, "w", newline="", encoding="utf-8") as fh:

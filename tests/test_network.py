@@ -9,6 +9,7 @@ from subspacepde.network import (
     CoefficientVector,
     NetworkConfig,
     NetworkParams,
+    _split_orders,
     eval_basis,
     eval_solution,
     init_params,
@@ -110,6 +111,51 @@ class TestEvalBasis:
         ev = eval_basis(params, subdomain([(0.0, 1.0)]), np.array([[0.5]]), [(1,)])
         with pytest.raises(KeyError):
             ev.deriv((2,))
+
+    @pytest.mark.parametrize(
+        "bounds, orders",
+        [
+            ([(6.0, 8.0)], [(1,), (2,)]),
+            ([(0.0, 2.0), (1.0, 1.5)], [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+            ([(0.0, 1.0), (-1.0, 2.0), (0.5, 0.75)], [(1, 0, 0), (2, 0, 0), (0, 1, 1), (0, 0, 2)]),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_input_layer_matches_full_gemm(self, bounds, orders):
+        # The input layer moves only the value channel through a GEMM; a
+        # forward that runs every channel through it must agree bit for bit.
+        sub = subdomain(bounds)
+        dim = len(bounds)
+        cfg = NetworkConfig(input_dim=dim, hidden_widths=(7, 6), subspace_dim=5)
+        params = init_params(cfg, "glorot", seed=dim)
+        lo, hi = np.array(bounds).T
+        points = np.random.default_rng(dim).uniform(lo, hi, size=(9, dim))
+        first_axes, second_keys, channel = _split_orders(orders, dim)
+
+        z, chain = normalize(points, sub)
+        x = np.zeros((1 + len(first_axes) + len(second_keys), len(z), dim))
+        x[0] = z
+        for c, s in enumerate(first_axes, start=1):
+            x[c, :, s] = chain[s]
+        pairs = [
+            (c, 1 + first_axes.index(u), 1 + first_axes.index(v))
+            for c, (u, v) in enumerate(second_keys, start=1 + len(first_axes))
+        ]
+        for W, b in zip(params.weights, params.biases):
+            a = (x.reshape(-1, W.shape[1]) @ W.T).reshape(len(x), len(z), W.shape[0])
+            a[0] += b
+            s_val = np.tanh(a[0])
+            s1 = 1.0 - s_val * s_val
+            s2 = -2.0 * s_val * s1
+            x = a * s1
+            x[0] = s_val
+            for c, u, v in pairs:
+                x[c] += s2 * a[u] * a[v]
+
+        ev = eval_basis(params, sub, points, orders)
+        assert np.array_equal(ev.values, x[0])
+        for alpha in orders:
+            assert np.array_equal(ev.deriv(alpha), x[channel[alpha]])
 
 
 def finite_difference_check(params, sub, dim, rng, n_points=4):

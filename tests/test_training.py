@@ -6,8 +6,10 @@ import pickle
 import numpy as np
 import pytest
 
+from subspacepde.cli import execute
+from subspacepde.config import from_dict
 from subspacepde.geometry import DomainSpec, PartitionSpec, partition, sample_interior
-from subspacepde.network import NetworkConfig, eval_basis, init_params, normalize
+from subspacepde.network import NetworkConfig, NetworkParams, eval_basis, init_params, normalize
 from subspacepde.problems import LinearTerm, NonlinearTerm, ProblemSpec, builtin
 from subspacepde.training import (
     TrainingConfig,
@@ -291,6 +293,53 @@ class TestLossGradient:
             assert np.abs(b - b_ref).max() <= 1e-13 * scale
 
 
+class ReferenceAdam:
+    """The out-of-place Adam that the in-place one replaced; a reference."""
+
+    def __init__(self, shapes, learning_rate):
+        self.lr = learning_rate
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
+        self.t = 0
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+
+    def step(self, values, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        out = []
+        for i, (x, g) in enumerate(zip(values, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            out.append(x - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        return out
+
+
+def reference_train(params, problem, sub, pts, config, log_path):
+    """The epoch loop before the flat parameter vector: a fresh
+    `NetworkParams` every epoch and an out-of-place Adam step; a reference."""
+    values = [v for layer in zip(params.weights, params.biases) for v in layer]
+    adam = ReferenceAdam([v.shape for v in values], config.learning_rate)
+    losses = []
+    for epoch in range(config.max_epochs + 1):
+        current = NetworkParams(weights=tuple(values[0::2]), biases=tuple(values[1::2]))
+        losses.append(residual_loss(current, problem, sub, pts))
+        rel = losses[-1] / losses[0] if losses[0] else 0.0
+        if epoch == config.max_epochs or rel <= config.rel_tol:
+            break
+        grads = loss_gradient(current, problem, sub, pts)
+        values = adam.step(values, [g for layer in grads for g in layer])
+    with open(log_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "loss"])
+        writer.writerows([k, f"{value:.16e}"] for k, value in enumerate(losses))
+    return current, epoch, rel
+
+
 class TestTrainSubdomain:
     def setup_pieces(self, max_epochs=50, rel_tol=1e-3, epochs_zero=False):
         problem = o1_problem()
@@ -350,6 +399,40 @@ class TestTrainSubdomain:
         assert lines[0] == "epoch,loss"
         assert len(lines) == epochs + 2  # header + epoch 0 .. epochs
 
+    def test_empty_points_rejected(self):
+        problem, sub, _, params, config = self.setup_pieces()
+        with pytest.raises(ValueError, match="nonempty point set"):
+            train_subdomain(params, problem, sub, np.empty((0, 1)), config)
+
+    @pytest.mark.parametrize(
+        "make_problem",
+        [o1_problem, mixed_2d_problem, o1_2d_problem],
+        ids=["helmholtz_1d", "mixed", "advection"],
+    )
+    def test_matches_out_of_place_reference(self, make_problem, tmp_path):
+        # The flat in-place update keeps every operand and its order, so the
+        # trained parameters agree with the out-of-place loop bit for bit.
+        problem = make_problem()
+        subs, _ = partition(problem.domain, PartitionSpec((1,) * problem.dim))
+        pts = sample_interior(subs[0], "uniform", [7] * problem.dim).points
+        cfg = NetworkConfig(input_dim=problem.dim, hidden_widths=(6, 5), subspace_dim=4)
+        params = init_params(cfg, "glorot", seed=3)
+        before = [v.copy() for layer in zip(params.weights, params.biases) for v in layer]
+        config = TrainingConfig(max_epochs=30, rel_tol=1e-12)
+
+        got, epochs, rel = train_subdomain(
+            params, problem, subs[0], pts, config, log_path=tmp_path / "got.csv"
+        )
+        want, want_epochs, want_rel = reference_train(
+            params, problem, subs[0], pts, config, tmp_path / "want.csv"
+        )
+        assert (epochs, rel) == (want_epochs, want_rel)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        after = [v for layer in zip(params.weights, params.biases) for v in layer]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
     # The source is evaluated once per epoch, so a NaN on its k-th call lands
     # in epoch k - 1; call 11 is the final, gradient-free evaluation.
     @pytest.mark.parametrize("nan_call, epoch", [(1, 0), (4, 3), (11, 10)])
@@ -383,3 +466,33 @@ class TestTrainSubdomain:
             TrainingConfig(rel_tol=1.5)
         with pytest.raises(ValueError):
             TrainingConfig(max_epochs=-1)
+
+
+def test_benchmark_tracer_counts_training(bench_tracing):
+    # The tracer drops a span's counts rather than fail when a note no
+    # longer fits the library, so its contract with training is checked here.
+    config = from_dict(
+        {
+            "problem": "helmholtz1d",
+            "partition": {"counts": [2]},
+            "sampling": {"counts": [20], "seed": 202},
+            "network": {"hidden_widths": [8], "subspace_dim": 10},
+            "training": {"max_epochs": 3, "rel_tol": 1e-12},
+        }
+    )
+    tracer = bench_tracing.Tracer("contract")
+    bench_tracing.instrument(tracer)
+    try:
+        root = tracer.open(bench_tracing.ROOT)
+        report = execute(config, write_outputs=False)
+        tracer.close(root)
+    finally:
+        tracer.uninstall()
+    by_name = {}
+    for span in tracer.spans:
+        by_name.setdefault(span.name, []).append(span)
+    forwards = by_name["training.forward"]
+    assert len(forwards) == 2 * (3 + 1)
+    assert all(span.attrs.get("flops", 0) > 0 for span in forwards)
+    epochs = [span.attrs.get("epochs") for span in by_name["training.train_subdomain"]]
+    assert epochs == report.epochs_per_subdomain == [3, 3]
