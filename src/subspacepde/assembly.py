@@ -8,11 +8,14 @@ subdomains sharing an interface).  Columns are per-subdomain blocks of
 width M, in subdomain order.  Each batch of rows is a `RowBlock` of dense
 pieces placed in the column blocks they touch; `RowBlock.matvec` is the
 one product of those rows with the coefficients, and the dense system is
-formed only for the least-squares solve and `dump_system`.  The system is solved in the
-minimum-norm least-squares sense by one LAPACK ``gelsd`` call, with
-singular values at or below 1e-12 of the largest truncated; neural bases
-are often nearly dependent, so the truncation is what keeps the solve
-stable.
+formed only for the least-squares solve and `dump_system`.  The solve first
+equilibrates the system: every row is scaled to unit 2-norm, then every
+column.  One LAPACK ``gelsd`` call then solves the scaled system in the
+minimum-norm least-squares sense, with singular values at or below
+``RCOND`` of the largest truncated; neural bases are often nearly
+dependent, so the truncation is what keeps the solve stable.  Without the
+scaling, the norms of the rows, which differ between PDE, boundary and
+continuity rows, would decide which directions the cutoff drops.
 
 Nonlinear problems use one linearization of the PDE rows around the
 current iterate u, `ProblemSpec.linearize`: the nonlinear term N moves to
@@ -44,8 +47,9 @@ from .problems import ProblemSpec
 Array = NDArray[np.float64]
 MultiIndex = tuple[int, ...]
 
-# Relative singular-value cutoff of the least-squares solve (gelsd's rcond).
-RCOND = 1e-12
+# Relative singular-value cutoff of the least-squares solve (gelsd's rcond),
+# applied to the equilibrated system.
+RCOND = 1e-14
 
 
 @dataclass(frozen=True)
@@ -257,22 +261,48 @@ class LstsqLog:
     sigma_max: list[float] = field(default_factory=list)
 
 
+def _unit_scales(sum_of_squares: Array) -> Array:
+    """2-norms from their squares; an all-zero row or column keeps scale 1."""
+    norms = np.sqrt(sum_of_squares)
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
 def solve_least_squares(
     system: GlobalSystem, log: LstsqLog | None = None
 ) -> tuple[CoefficientVector, float]:
-    """Minimum-norm least-squares solution and its residual 2-norm.
+    """Least-squares solution of the equilibrated system and its residual 2-norm.
 
-    One LAPACK ``gelsd`` call: singular values at or below ``RCOND`` times
-    the largest are dropped, and U and V are never formed.  Every solve
-    goes through here, so identical matrices give identical coefficients
-    (SVD implementations keep different near-cutoff subspaces of a
+    The matrix is scaled in place, with no array of its size allocated:
+    every row to unit 2-norm, then every column (all-zero ones stay).  So
+    the solve consumes its system: afterwards ``system.matrix`` holds the
+    scaled matrix, and a caller that needs the matrix again passes a copy.
+    One LAPACK ``gelsd`` call solves the scaled system, dropping singular
+    values at or below ``RCOND`` times the largest; U and V are never
+    formed.  Undoing the column scaling gives ``beta``.  Every solve goes
+    through here, so identical matrices give identical coefficients (SVD
+    implementations keep different near-cutoff subspaces of a
     rank-deficient matrix, which shows up as noise on the solution).
-    ``log`` receives the residual, numeric rank and largest singular value.
+    ``log`` receives the residual 2-norm of the unscaled system and the
+    numeric rank and largest singular value of the scaled one.
     """
-    if not (np.isfinite(system.matrix).all() and np.isfinite(system.rhs).all()):
-        raise ValueError("system has non-finite entries")
-    beta, _, rank, sigma = np.linalg.lstsq(system.matrix, system.rhs, rcond=RCOND)
-    residual = float(np.linalg.norm(system.matrix @ beta - system.rhs))
+    A, b = system.matrix, system.rhs
+    # A non-finite entry makes its row's sum of squares non-finite, so this
+    # check needs no pass of its own over the matrix.
+    squares = np.einsum("ij,ij->i", A, A)
+    if not (np.isfinite(squares).all() and np.isfinite(b).all()):
+        raise ValueError("system has non-finite entries or a row too large to scale")
+    rows = _unit_scales(squares)
+    A /= rows[:, None]
+    cols = _unit_scales(np.einsum("ij,ij->j", A, A))
+    A /= cols
+    b_scaled = b / rows
+    y, _, rank, sigma = np.linalg.lstsq(A, b_scaled, rcond=RCOND)
+    r = A @ y
+    r -= b_scaled
+    r *= rows  # the residual of the unscaled rows
+    residual = float(np.linalg.norm(r))
+    beta = y / cols
     if log is not None:
         log.residual.append(residual)
         log.rank.append(int(rank))

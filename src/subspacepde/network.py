@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import DTypeLike, NDArray
 
 from .geometry import CONTAINMENT_TOL, SubdomainSpec
 
@@ -171,12 +171,35 @@ def _split_orders(
     return first_axes, second_keys, {alpha: slots.index(key) for alpha, key in keys.items()}
 
 
+def input_stack(
+    subdomain: SubdomainSpec,
+    points: Array,
+    first_axes: Sequence[int],
+    second_keys: Sequence[tuple[int, int]],
+    dtype: DTypeLike,
+) -> Array:
+    """The (C, n, dim) channel stack that enters the first layer.
+
+    Channel 0 holds the normalized points; a first-order channel along axis
+    s holds the chain factor of s in column s, the input's derivative along
+    s; second-order channels are zero.  Normalization runs in float64, and
+    only the finished stack is cast to ``dtype``.
+    """
+    z, chain = normalize(points, subdomain)
+    x = np.zeros((1 + len(first_axes) + len(second_keys), *z.shape), dtype=dtype)
+    x[0] = z
+    for c, s in enumerate(first_axes, start=1):
+        x[c, :, s] = chain[s]
+    return x
+
+
 def forward_states(
     params: NetworkParams,
     subdomain: SubdomainSpec,
     points: Array,
     first_axes: Sequence[int],
     second_keys: Sequence[tuple[int, int]],
+    inputs: Array | None = None,
 ) -> tuple[list[Array], list[Array], list[tuple[Array, Array]], list[tuple[int, int, int]]]:
     """Run the network, propagating value and derivative channels.
 
@@ -185,6 +208,9 @@ def forward_states(
     input layer's derivative channels are constant rows, so only its value
     channel goes through a GEMM: a first-order channel along axis s has
     the pre-activation chain[s] * W[:, s] and a second-order one is zero.
+    Every array has the dtype of the parameters.  ``inputs`` is the
+    `input_stack` of ``points`` in that dtype; a caller that runs many
+    passes over fixed points forms it once and passes it here.
 
     Returns the channel stack after every layer, starting with the
     normalized input; the pre-activation stack of every layer; each
@@ -195,13 +221,10 @@ def forward_states(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != params.input_dim:
         raise ValueError("points do not match the network input dimension")
-    z, chain = normalize(pts, subdomain)
-    n, dim = z.shape
-
-    x = np.zeros((1 + len(first_axes) + len(second_keys), n, dim))
-    x[0] = z
-    for c, s in enumerate(first_axes, start=1):
-        x[c, :, s] = chain[s]
+    if inputs is None:
+        inputs = input_stack(subdomain, pts, first_axes, second_keys, params.weights[0].dtype)
+    x, n = inputs, inputs.shape[1]
+    z = x[0]
     pairs = [
         (c, 1 + first_axes.index(u), 1 + first_axes.index(v))
         for c, (u, v) in enumerate(second_keys, start=1 + len(first_axes))
@@ -210,10 +233,10 @@ def forward_states(
     outs, pres, slopes = [x], [], []
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
         if l == 0:
-            a = np.empty((len(x), n, W.shape[0]))
+            a = np.empty((len(x), n, W.shape[0]), dtype=x.dtype)
             np.matmul(z, W.T, out=a[0])
             for c, s in enumerate(first_axes, start=1):
-                a[c] = chain[s] * W[:, s]
+                np.multiply(x[c, :, s : s + 1], W[:, s], out=a[c])
             a[1 + len(first_axes) :] = 0.0
         else:
             a = (x.reshape(-1, W.shape[1]) @ W.T).reshape(len(x), n, W.shape[0])

@@ -102,8 +102,10 @@ class SolveReport:
     """Everything a solve produced, ready for serialization.
 
     ``ls_residual_history``, ``ls_rank_history`` and
-    ``ls_sigma_max_history`` hold one entry per least-squares solve: its
-    residual 2-norm, numeric rank and largest singular value.
+    ``ls_sigma_max_history`` hold one entry per least-squares solve: the
+    residual 2-norm of the system as assembled, and the numeric rank and
+    largest singular value of the equilibrated system that
+    `solve_least_squares` factors (rows, then columns, at unit 2-norm).
     ``nonlinear_residual_history`` holds the 2-norm of the stacked
     nonlinear residual before each Newton step and, for both methods, at
     the returned iterate last.  ``samples`` holds the evaluation-grid

@@ -7,6 +7,12 @@ adapt to the operator.  Gradients with respect to the weights are exact:
 the loss contains input derivatives of the network, so the backward pass
 walks the forward derivative propagation in reverse.
 
+The forward pass, backward pass and Adam step run in the dtype of the
+parameters they get.  `train_subdomain` trains a float32 copy and hands back
+float64 parameters (an exact conversion), so basis evaluation, assembly and
+the least-squares solve stay in float64; `residual_loss` and `loss_gradient`
+of float64 parameters run in float64.
+
 Training different subdomains shares no state and may run concurrently.
 """
 
@@ -20,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import PointSet, SubdomainSpec
-from .network import NetworkParams, _split_orders, forward_states
+from .network import NetworkParams, _split_orders, forward_states, input_stack
 from .problems import ProblemSpec
 
 Array = NDArray[np.float64]
@@ -81,6 +87,12 @@ def _layer_views(flat: Array, params: NetworkParams) -> list[tuple[Array, Array]
         views.append((flat[start:mid].reshape(W.shape), flat[mid : mid + b.size]))
         start = mid + b.size
     return views
+
+
+def _unflatten(flat: Array, params: NetworkParams) -> NetworkParams:
+    """`NetworkParams` whose arrays are views of ``flat``, laid out like ``params``."""
+    layers = _layer_views(flat, params)
+    return NetworkParams(weights=tuple(W for W, _ in layers), biases=tuple(b for _, b in layers))
 
 
 def _backward(
@@ -145,10 +157,18 @@ def _loss_and_gradient(
     points: Array,
     channels: tuple,
     grads: list[tuple[Array, Array]] | None = None,
+    inputs: Array | None = None,
 ) -> float:
-    """The residual loss; with ``grads``, its gradient is written there too."""
+    """The residual loss; with ``grads``, its gradient is written there too.
+
+    ``inputs`` is the `input_stack` of ``points``, formed once by a caller
+    that evaluates the loss many times.  The residual and the loss are
+    float64 whatever the parameters' dtype; the gradient has their dtype.
+    """
     first_axes, second_keys, channel, live = channels
-    outs, pres, slopes, pairs = forward_states(params, subdomain, points, first_axes, second_keys)
+    outs, pres, slopes, pairs = forward_states(
+        params, subdomain, points, first_axes, second_keys, inputs=inputs
+    )
     sums = outs[-1].sum(axis=-1)  # the solution's channels at unit coefficients
     derivs = {alpha: sums[c] for alpha, c in channel.items() if c}
     r = problem.residual(points, sums[0], derivs)
@@ -157,7 +177,7 @@ def _loss_and_gradient(
         return loss
 
     r_bar = (2.0 / len(points)) * r
-    g = np.zeros((len(sums), len(points), 1))
+    g = np.zeros((len(sums), len(points), 1), dtype=sums.dtype)
     for alpha, w in problem.linearize(points, sums[0], derivs, live)[0].items():
         g[channel[alpha], :, 0] += r_bar * w
     _backward(params.weights, outs, pres, slopes, g, pairs, grads)
@@ -183,7 +203,7 @@ def loss_gradient(
 ) -> list[tuple[Array, Array]]:
     """Exact gradient of `residual_loss` for every weight matrix and bias."""
     size = sum(W.size + b.size for W, b in zip(params.weights, params.biases))
-    grads = _layer_views(np.empty(size), params)
+    grads = _layer_views(np.empty(size, dtype=params.weights[0].dtype), params)
     channels = _channels(problem, params.input_dim)
     _loss_and_gradient(params, problem, subdomain, _as_points(points), channels, grads)
     return grads
@@ -193,19 +213,20 @@ class _Adam:
     """Standard Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
 
     Updates one flat parameter vector in place; two scratch vectors hold
-    the intermediate terms, formed in the textbook order.
+    the intermediate terms, formed in the textbook order.  The moments and
+    scratch vectors take the shape and dtype of ``theta``.
     """
 
-    def __init__(self, size: int, learning_rate: float):
+    def __init__(self, theta: Array, learning_rate: float):
         self.lr = learning_rate
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
         self.t = 0
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._m_hat = np.empty(size)
-        self._v_hat = np.empty(size)
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self._m_hat = np.empty_like(theta)
+        self._v_hat = np.empty_like(theta)
 
     def step(self, theta: Array, grad: Array) -> None:
         self.t += 1
@@ -240,25 +261,36 @@ def train_subdomain(
 ) -> tuple[NetworkParams, int, float]:
     """Full-batch Adam on the residual loss with the relative stopping rule.
 
+    Training runs in float32: the parameters are copied to one flat float32
+    vector once, and the forward pass, backward pass and Adam step all work
+    on it; the residual and the loss are formed in float64.  The trained
+    parameters come back as float64 arrays, an exact conversion, and the
+    caller's ``params`` are left unchanged.
+
     Stops once loss / initial_loss <= rel_tol or after max_epochs steps;
     with ``epochs_zero`` or ``max_epochs == 0`` the input parameters pass
     through untouched (random-feature mode) and no log is written.  Returns
     (params, epochs_used, final_rel_loss); an initial loss of 0 stops at
-    epoch 0 with a relative loss of 0.
+    epoch 0 with a relative loss of 0.  The losses, in the log too, are
+    those of the float32 parameters.
     """
     if config.epochs_zero or config.max_epochs == 0:
         return params, 0, 1.0
     pts = _as_points(points)
     channels = _channels(problem, params.input_dim)
+    # The points are fixed for the run, so their input stack is formed once.
+    inputs = input_stack(subdomain, pts, channels[0], channels[1], np.float32)
 
-    # One flat copy of the parameters, updated in place; `current` and the
-    # gradient arrays are views of flat vectors, built once per run.
-    theta = np.concatenate([v.ravel() for layer in zip(params.weights, params.biases) for v in layer])
-    layers = _layer_views(theta, params)
-    current = NetworkParams(weights=tuple(W for W, _ in layers), biases=tuple(b for _, b in layers))
+    # One flat float32 copy of the parameters, updated in place; `current`
+    # and the gradient arrays are views of flat vectors, built once per run.
+    theta = np.concatenate(
+        [v.ravel() for layer in zip(params.weights, params.biases) for v in layer],
+        dtype=np.float32,
+    )
+    current = _unflatten(theta, params)
     grad = np.empty_like(theta)
     grads = _layer_views(grad, params)
-    adam = _Adam(theta.size, config.learning_rate)
+    adam = _Adam(theta, config.learning_rate)
     losses: list[float] = []
     try:
         # The fused pass at each epoch evaluates the loss *before* that
@@ -271,14 +303,14 @@ def train_subdomain(
             if not np.isfinite(theta).all():
                 raise TrainingError(epoch, float("nan"))
             loss = _loss_and_gradient(
-                current, problem, subdomain, pts, channels, None if last else grads
+                current, problem, subdomain, pts, channels, None if last else grads, inputs
             )
             if not np.isfinite(loss):
                 raise TrainingError(epoch, loss)
             losses.append(loss)
             rel = loss / losses[0] if losses[0] else 0.0
             if last or rel <= config.rel_tol:
-                return current, epoch, rel
+                return _unflatten(theta.astype(np.float64), params), epoch, rel
             adam.step(theta, grad)
     finally:
         if log_path is not None:

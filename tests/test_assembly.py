@@ -415,13 +415,55 @@ class TestSolveLeastSquares:
         np.testing.assert_allclose(beta.values, [1.0, 1.0])
 
     def test_normal_equations_residual(self):
+        # The solve scales every row to unit norm first, so beta solves the
+        # normal equations of the row-scaled system.
         rng = np.random.default_rng(42)
         A = rng.normal(size=(40, 12))
         b = rng.normal(size=40)
         beta, _ = solve_least_squares(self.system(A, b))
-        gradient = A.T @ (A @ beta.values - b)
-        bound = 1e-8 * np.linalg.norm(A) * np.linalg.norm(b)
+        weights = 1.0 / np.sqrt(np.sum(A * A, axis=1))
+        A_rows, b_rows = A * weights[:, None], b * weights
+        gradient = A_rows.T @ (A_rows @ beta.values - b_rows)
+        bound = 1e-8 * np.linalg.norm(A_rows) * np.linalg.norm(b_rows)
         assert np.linalg.norm(gradient) <= bound
+
+    def test_residual_is_that_of_the_unscaled_system(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(25, 6)) * np.logspace(-3, 3, 25)[:, None]
+        b = rng.normal(size=25)
+        system = self.system(A, b)
+        beta, resid = solve_least_squares(system)
+        assert resid == pytest.approx(np.linalg.norm(A @ beta.values - b), rel=1e-12)
+
+    def test_one_row_scaled_by_1e8_leaves_beta(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(30, 8))
+        b = rng.normal(size=30)  # inconsistent: the row weights matter
+        beta1, _ = solve_least_squares(self.system(A, b))
+        A[4] *= 1e8
+        b[4] *= 1e8
+        beta2, _ = solve_least_squares(self.system(A, b))
+        error = np.linalg.norm(beta2.values - beta1.values)
+        assert error <= 1e-10 * np.linalg.norm(beta1.values)
+
+    def test_one_column_scaled_by_1e_minus_8_leaves_beta(self):
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(30, 8))
+        b = A @ rng.normal(size=8)  # consistent, so the row weights do not matter
+        beta1, _ = solve_least_squares(self.system(A, b))
+        A[:, 2] *= 1e-8
+        beta2, _ = solve_least_squares(self.system(A, b))
+        unscaled = beta2.values.copy()
+        unscaled[2] *= 1e-8
+        error = np.linalg.norm(unscaled - beta1.values)
+        assert error <= 1e-10 * np.linalg.norm(beta1.values)
+
+    def test_solve_consumes_the_matrix(self):
+        # The scaling is done in place: the system's matrix is overwritten.
+        A = np.array([[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
+        system = self.system(A, [1.0, 2.0, 0.0])
+        solve_least_squares(system)
+        np.testing.assert_array_equal(system.matrix, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -437,6 +479,13 @@ class TestSolveLeastSquares:
         with pytest.raises(ValueError):
             solve_least_squares(self.system(A, [1.0]))
 
+    def test_row_too_large_to_scale_rejected(self):
+        # Its squared norm overflows; scaling by an infinite norm would
+        # silently zero the row.
+        A = np.array([[1e200, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="too large to scale"):
+            solve_least_squares(self.system(A, [1.0, 1.0]))
+
     def test_log_reports_rank_and_sigma_max(self):
         log = LstsqLog()
         _, resid = solve_least_squares(self.system(np.array([[1.0, 1.0]]), [2.0]), log)
@@ -446,17 +495,26 @@ class TestSolveLeastSquares:
         assert log.rank == [1, 2]
         assert log.sigma_max == pytest.approx([np.sqrt(2.0), 1.0])
 
-    def test_cutoff_keeps_1e11_and_drops_1e13(self):
-        # RCOND = 1e-12 relative: the third singular value stays, the fourth goes
+    def test_cutoff_keeps_4e14_and_drops_4e15(self):
+        # RCOND = 1e-14 relative, applied to the equilibrated matrix: after
+        # rows and then columns are scaled to unit norm, the third singular
+        # value (3.8e-14 of the largest) stays and the fourth (4.4e-15) goes.
+        # The scaling is formed here as the solve forms it, so both SVDs see
+        # the same matrix to the last bit.
         rng = np.random.default_rng(11)
         q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        A = q1 @ np.diag([1.0, 1e-6, 1e-11, 1e-13]) @ q2.T
+        A = q1 @ np.diag([1.0, 1e-6, 3e-14, 3e-15]) @ q2.T
         b = rng.normal(size=4)
+        rows = np.sqrt(np.einsum("ij,ij->i", A, A))
+        scaled = A / rows[:, None]
+        cols = np.sqrt(np.einsum("ij,ij->j", scaled, scaled))
+        scaled = scaled / cols
+        u, s, vt = np.linalg.svd(scaled)
+        assert 1e-14 < s[2] / s[0] < 1e-13 and 1e-15 < s[3] / s[0] < 1e-14
+        expected = (vt[:3].T @ ((u[:, :3].T @ (b / rows)) / s[:3])) / cols
         log = LstsqLog()
         beta, _ = solve_least_squares(self.system(A, b), log)
-        u, s, vt = np.linalg.svd(A)
-        expected = vt[:3].T @ ((u[:, :3].T @ b) / s[:3])
         assert log.rank == [3]
         assert np.linalg.norm(beta.values - expected) <= 1e-10 * np.linalg.norm(expected)
 

@@ -421,25 +421,30 @@ class TestEvaluationHelpers:
             np.testing.assert_allclose(u, disc.boundary_block.matvec(values), rtol=1e-13)
 
     def test_evaluate_solution_piecewise(self):
+        # Each point takes its value from the basis of the lowest-id
+        # subdomain that holds it, so the interface point x = 4 goes to
+        # subdomain 0, and rebuilt networks reproduce the report's grid.
         problem = builtin("helmholtz1d")
         report = solve(**tiny_linear_setup(), init_mode="uniform_range")
         subs, _ = partition(
             problem.domain, PartitionSpec((2,)), problem.default_continuity_orders()
         )
+        # rebuild the params deterministically: same seeds as the solve
+        params = [
+            init_params(
+                NetworkConfig(input_dim=1, hidden_widths=(30,), subspace_dim=40),
+                "uniform_range",
+                seed=[202, k],
+            )
+            for k in range(2)
+        ]
         grid = np.linspace(0, 8, 33)[:, None]
-        u = evaluate_solution(
-            grid,
-            subs,
-            # rebuild the params deterministically: same seeds as the solve
-            [
-                init_params(
-                    NetworkConfig(input_dim=1, hidden_widths=(30,), subspace_dim=40),
-                    "uniform_range",
-                    seed=[202, k],
-                )
-                for k in range(2)
-            ],
-            report.beta,
+        u = evaluate_solution(grid, subs, params, report.beta)
+        left = grid[:, 0] <= 4.0
+        for k, mask in enumerate([left, ~left]):
+            piece = eval_basis(params[k], subs[k], grid[mask]).values @ report.beta.block(k)
+            np.testing.assert_array_equal(u[mask], piece)
+        report_grid, u_hat, _ = report.samples
+        np.testing.assert_array_equal(
+            evaluate_solution(report_grid, subs, params, report.beta), u_hat
         )
-        exact = problem.exact(grid)
-        assert np.max(np.abs(u - exact)) < 1.0

@@ -77,6 +77,14 @@ def mixed_2d_problem():
     )
 
 
+def as_float32(params):
+    """The parameters cast to float32, the precision training runs in."""
+    return NetworkParams(
+        weights=tuple(W.astype(np.float32) for W in params.weights),
+        biases=tuple(b.astype(np.float32) for b in params.biases),
+    )
+
+
 def first_subdomain(problem, counts=(12,)):
     subs, _ = partition(problem.domain, PartitionSpec((1,) * problem.dim))
     pts = sample_interior(subs[0], "uniform", list(counts) * 1 if len(counts) == problem.dim else counts)
@@ -221,6 +229,17 @@ def per_channel_loss_gradient(params, problem, sub, pts):
 
 
 class TestLossGradient:
+    def test_float64_parameters_give_float64(self):
+        problem = o1_problem()
+        sub, pts = first_subdomain(problem)
+        cfg = NetworkConfig(input_dim=1, hidden_widths=(4,), subspace_dim=3)
+        params = init_params(cfg, "glorot", seed=2)
+        assert type(residual_loss(params, problem, sub, pts)) is float
+        for W_g, b_g in loss_gradient(params, problem, sub, pts):
+            assert W_g.dtype == b_g.dtype == np.float64
+        for W_g, b_g in loss_gradient(as_float32(params), problem, sub, pts):
+            assert W_g.dtype == b_g.dtype == np.float32
+
     def test_zero_residual_is_stationary(self):
         problem = o1_problem(source=lambda pts: np.zeros(pts.shape[0]))
         sub, pts = first_subdomain(problem)
@@ -296,14 +315,14 @@ class TestLossGradient:
 class ReferenceAdam:
     """The out-of-place Adam that the in-place one replaced; a reference."""
 
-    def __init__(self, shapes, learning_rate):
+    def __init__(self, values, learning_rate):
         self.lr = learning_rate
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = [np.zeros_like(x) for x in values]
+        self.v = [np.zeros_like(x) for x in values]
 
     def step(self, values, grads):
         self.t += 1
@@ -320,10 +339,10 @@ class ReferenceAdam:
 
 
 def reference_train(params, problem, sub, pts, config, log_path):
-    """The epoch loop before the flat parameter vector: a fresh
+    """The epoch loop before the flat parameter vector: a fresh float32
     `NetworkParams` every epoch and an out-of-place Adam step; a reference."""
-    values = [v for layer in zip(params.weights, params.biases) for v in layer]
-    adam = ReferenceAdam([v.shape for v in values], config.learning_rate)
+    values = [v.astype(np.float32) for layer in zip(params.weights, params.biases) for v in layer]
+    adam = ReferenceAdam(values, config.learning_rate)
     losses = []
     for epoch in range(config.max_epochs + 1):
         current = NetworkParams(weights=tuple(values[0::2]), biases=tuple(values[1::2]))
@@ -369,7 +388,20 @@ class TestTrainSubdomain:
         trained, _, rel = train_subdomain(params, problem, sub, pts, config)
         after = residual_loss(trained, problem, sub, pts)
         assert after < before
-        assert rel == pytest.approx(after / before, rel=1e-12)
+        # The relative loss is that of the float32 parameters training ran on.
+        after32 = residual_loss(as_float32(trained), problem, sub, pts)
+        before32 = residual_loss(as_float32(params), problem, sub, pts)
+        assert rel == pytest.approx(after32 / before32, rel=1e-12)
+
+    def test_returns_float64_and_leaves_input(self):
+        problem, sub, pts, params, config = self.setup_pieces(max_epochs=20)
+        before = [v.copy() for v in params.weights + params.biases]
+        trained, _, _ = train_subdomain(params, problem, sub, pts, config)
+        for a in trained.weights + trained.biases:
+            assert a.dtype == np.float64
+            assert np.array_equal(a, a.astype(np.float32))  # float32 values, exactly
+        for a, b in zip(before, params.weights + params.biases):
+            assert np.array_equal(a, b)
 
     def test_deterministic(self):
         problem, sub, pts, params, config = self.setup_pieces(max_epochs=25)
@@ -410,8 +442,9 @@ class TestTrainSubdomain:
         ids=["helmholtz_1d", "mixed", "advection"],
     )
     def test_matches_out_of_place_reference(self, make_problem, tmp_path):
-        # The flat in-place update keeps every operand and its order, so the
-        # trained parameters agree with the out-of-place loop bit for bit.
+        # The flat in-place float32 update keeps every operand and its order,
+        # so the trained parameters agree with the out-of-place float32 loop
+        # bit for bit.
         problem = make_problem()
         subs, _ = partition(problem.domain, PartitionSpec((1,) * problem.dim))
         pts = sample_interior(subs[0], "uniform", [7] * problem.dim).points
