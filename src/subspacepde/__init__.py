@@ -7,101 +7,25 @@ global least-squares solve over the span fixes the combination
 coefficients, with boundary rows and cross-interface smoothness rows
 stitching the pieces together.  Nonlinear equations are handled by Picard
 or Newton iteration over the frozen bases.
+
+The namespace holds what one solve needs; everything else is imported from
+its submodule.
 """
 
-from .assembly import (
-    GlobalIndexing,
-    GlobalSystem,
-    RowBlock,
-    assemble_boundary_rows,
-    assemble_continuity_rows,
-    assemble_global,
-    assemble_pde_rows,
-    dump_system,
-    solve_least_squares,
-)
-from .geometry import (
-    DomainSpec,
-    InterfaceSpec,
-    PartitionSpec,
-    PointSet,
-    SubdomainSpec,
-    gauss_lobatto_nodes,
-    partition,
-    sample_boundary,
-    sample_interface,
-    sample_interior,
-)
-from .network import (
-    BasisEval,
-    CoefficientVector,
-    NetworkConfig,
-    NetworkParams,
-    eval_basis,
-    eval_solution,
-    init_params,
-    normalize,
-)
-from .problems import (
-    ErrorNorms,
-    LinearTerm,
-    NonlinearTerm,
-    ProblemSpec,
-    builtin,
-    error_norms,
-)
-from .solver import (
-    NonlinearConfig,
-    SamplingConfig,
-    SolveReport,
-    evaluate_solution,
-    solve,
-)
-from .training import TrainingConfig, loss_gradient, residual_loss, train_subdomain
+from .geometry import PartitionSpec
+from .network import NetworkConfig
+from .problems import builtin
+from .solver import NonlinearConfig, SamplingConfig, solve
+from .training import TrainingConfig
 
 __all__ = [
-    "BasisEval",
-    "CoefficientVector",
-    "DomainSpec",
-    "ErrorNorms",
-    "GlobalIndexing",
-    "GlobalSystem",
-    "InterfaceSpec",
-    "LinearTerm",
     "NetworkConfig",
-    "NetworkParams",
     "NonlinearConfig",
-    "NonlinearTerm",
     "PartitionSpec",
-    "PointSet",
-    "ProblemSpec",
-    "RowBlock",
     "SamplingConfig",
-    "SolveReport",
-    "SubdomainSpec",
     "TrainingConfig",
-    "assemble_boundary_rows",
-    "assemble_continuity_rows",
-    "assemble_global",
-    "assemble_pde_rows",
     "builtin",
-    "dump_system",
-    "error_norms",
-    "eval_basis",
-    "eval_solution",
-    "evaluate_solution",
-    "gauss_lobatto_nodes",
-    "init_params",
-    "loss_gradient",
-    "normalize",
-    "partition",
-    "residual_loss",
-    "sample_boundary",
-    "sample_interface",
-    "sample_interior",
     "solve",
-    "solve_least_squares",
-    "train_subdomain",
 ]
 
 __version__ = "0.1.0"

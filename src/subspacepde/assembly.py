@@ -227,10 +227,6 @@ class GlobalSystem:
     rhs: Array
     indexing: GlobalIndexing
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
 
 def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> GlobalSystem:
     """Stack row blocks into one dense system, in the order given."""

@@ -80,10 +80,6 @@ class NetworkParams:
             prev_out = W.shape[0]
 
     @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
-    @property
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
 

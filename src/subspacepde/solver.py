@@ -331,13 +331,12 @@ def evaluate_solution(
     return out
 
 
-def _finish_report(disc: Discretization, beta: CoefficientVector, counts: Sequence[int]):
-    """The solution on the uniform ``counts`` grid: ((grid, u_hat, u_exact), norms).
+def _finish_report(disc: Discretization, beta: CoefficientVector, grid: Array):
+    """The solution on the evaluation ``grid``: ((grid, u_hat, u_exact), norms).
 
     ``u_exact`` and the error norms are None when the exact solution is unknown.
     """
     exact = disc.problem.exact
-    grid = _box_grid(disc.problem.domain.axes, counts, "uniform", None)
     u_hat = evaluate_solution(grid, disc.subdomains, disc.params, beta)
     u_exact = None if exact is None else exact(grid)
     norms = None if u_exact is None else error_norms(u_hat, u_exact)
@@ -401,7 +400,6 @@ def solve(
     *,
     init_mode: str = "glorot",
     evaluation: Sequence[int] | None = None,
-    params_list: Sequence[NetworkParams] | None = None,
     log_dir=None,
     dump_path=None,
 ) -> SolveReport:
@@ -422,8 +420,9 @@ def solve(
         evaluation = [c * n for c, n in zip(sampling.interior_counts, partition_spec.counts)]
     if len(evaluation) != problem.dim:
         raise ValueError("evaluation counts must have one entry per axis")
+    grid = _box_grid(problem.domain.axes, evaluation, "uniform", None)
     disc = Discretization(
-        problem, partition_spec, sampling, network, training, init_mode, params_list, log_dir
+        problem, partition_spec, sampling, network, training, init_mode, log_dir=log_dir
     )
 
     t0 = time.perf_counter()
@@ -431,7 +430,7 @@ def solve(
     picard = () if term is None else term.orders
     system = disc.assemble_linear_system(solution, picard)
     disc.assemble_seconds += time.perf_counter() - t0
-    rows = system.shape[0]
+    rows = system.matrix.shape[0]
     if dump_path is not None:
         dump_system(system, dump_path)
 
@@ -466,7 +465,7 @@ def solve(
         "solve": time.perf_counter() - t0,
     }
     t0 = time.perf_counter()
-    samples, norms = _finish_report(disc, beta, evaluation)
+    samples, norms = _finish_report(disc, beta, grid)
     report = SolveReport(
         problem=problem.name,
         method="linear" if nonlinear is None else nonlinear.method,

@@ -378,7 +378,7 @@ class TestAssembleGlobal:
             ev = fake_eval(ipts.points, [(1,)])
             blocks.append(assemble_continuity_rows(iface, indexing, ipts, ev, ev))
         system = assemble_global(blocks, indexing)
-        assert system.shape == (200 + 2 + 6, 400)
+        assert system.matrix.shape == (200 + 2 + 6, 400)
 
     def test_single_subdomain_has_no_continuity_rows(self):
         problem = helmholtz_like()

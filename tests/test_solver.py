@@ -21,6 +21,7 @@ from subspacepde.geometry import (
     sample_interior,
 )
 from subspacepde.network import CoefficientVector, NetworkConfig, eval_basis, init_params
+from subspacepde import solver
 from subspacepde.problems import LinearTerm, NonlinearTerm, ProblemSpec, builtin
 from subspacepde.solver import (
     Discretization,
@@ -408,6 +409,14 @@ class TestEvaluationHelpers:
     def test_evaluation_counts_need_one_entry_per_axis(self):
         with pytest.raises(ValueError, match="one entry per axis"):
             solve(**tiny_linear_setup(), init_mode="uniform_range", evaluation=(17, 17))
+
+    def test_bad_evaluation_grid_fails_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the evaluation grid was built")
+
+        monkeypatch.setattr(solver, "train_subdomain", no_training)
+        with pytest.raises(ValueError, match=">= 2"):
+            solve(**tiny_linear_setup(), evaluation=(1,))
 
     def test_report_and_boundary_rows_share_the_owner_rule(self):
         # Points on a shared corner or edge belong to the lowest subdomain id

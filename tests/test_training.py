@@ -204,7 +204,7 @@ def per_channel_loss_gradient(params, problem, sub, pts):
         channel(a, g1, g2, g_z)[...] += (r_bar * w)[:, None]
 
     grads = []
-    for l in range(params.num_layers, 0, -1):
+    for l in range(len(params.weights), 0, -1):
         z, _, _, da, d2a = states[l]
         z_in, d1_in, d2_in, _, _ = states[l - 1]
         s1 = 1.0 - z * z
