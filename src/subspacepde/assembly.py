@@ -7,10 +7,16 @@ column block), and continuity rows (+/- derivative blocks of the two
 subdomains sharing an interface).  Columns are per-subdomain blocks of
 width M, in subdomain order.  Each batch of rows is a `RowBlock` of dense
 pieces placed in the column blocks they touch; `RowBlock.matvec` is the
-one product of those rows with the coefficients, and the dense system is
-formed only for the least-squares solve and `dump_system`.  The solve first
-equilibrates the system: every row is scaled to unit 2-norm, then every
-column.  One LAPACK ``gelsd`` call then solves the scaled system in the
+one product of those rows with the coefficients.  The full dense system is
+formed only by `dump_system`.
+
+The least-squares solve equilibrates the system: every row is scaled to
+unit 2-norm, then every column.  Between the two, `assemble_global`
+compresses it: the rows that touch one subdomain's columns only (its PDE
+rows and the boundary rows it owns) are reduced by a local QR to at most
+M rows, and the continuity rows are appended.  Orthogonal row transforms
+keep the singular values and the minimizers, so the compressed system
+stands for the full one.  One LAPACK ``gelsd`` call then solves it in the
 minimum-norm least-squares sense, with singular values at or below
 ``RCOND`` of the largest truncated; neural bases are often nearly
 dependent, so the truncation is what keeps the solve stable.  Without the
@@ -34,6 +40,7 @@ independently of any network.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -221,15 +228,79 @@ def assemble_continuity_rows(
 
 @dataclass
 class GlobalSystem:
-    """Assembled rectangular system over the stacked coefficients."""
+    """The compressed least-squares system and the row blocks it stands for.
+
+    ``matrix`` and ``rhs`` are what `solve_least_squares` solves: the rows
+    scaled to unit 2-norm, each subdomain's local rows reduced to their
+    triangular factor, then the coupled rows.  ``blocks`` are the rows as
+    assembled, for the residual of the full unscaled system and for
+    `dump_system`.
+    """
 
     matrix: Array
     rhs: Array
     indexing: GlobalIndexing
+    blocks: list[RowBlock]
+
+    @property
+    def collocation_rows(self) -> int:
+        """Rows of the full system, one per collocation equation."""
+        return sum(block.n_rows for block in self.blocks)
+
+    def dense(self) -> tuple[Array, Array]:
+        """The full unscaled (matrix, rhs), stacked in block order."""
+        matrix = np.zeros((self.collocation_rows, self.indexing.width))
+        row = 0
+        for block in self.blocks:
+            block.place(matrix[row : row + block.n_rows])
+            row += block.n_rows
+        return matrix, np.concatenate([block.rhs for block in self.blocks])
+
+
+def _unit_scales(sum_of_squares: Array) -> Array:
+    """2-norms from their squares; an all-zero row or column keeps scale 1."""
+    norms = np.sqrt(sum_of_squares)
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
+def _row_scales(block: RowBlock) -> Array:
+    """The 2-norms of a block's rows, which equilibration divides them by."""
+    squares = np.zeros(block.n_rows)
+    for piece in block.pieces:
+        squares[piece.rows] += np.einsum("ij,ij->i", piece.values, piece.values)
+    # A non-finite entry makes its row's sum of squares non-finite, so this
+    # check needs no pass of its own over the pieces.
+    if not (np.isfinite(squares).all() and np.isfinite(block.rhs).all()):
+        raise ValueError("system has non-finite entries or a row too large to scale")
+    return _unit_scales(squares)
+
+
+def _is_local(block: RowBlock) -> bool:
+    """Whether every row of the block lies in one piece, so in one column block."""
+    spans = sorted((p.row_start, p.row_start + p.values.shape[0]) for p in block.pieces)
+    return all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> GlobalSystem:
-    """Stack row blocks into one dense system, in the order given."""
+    """The row-equilibrated system with each subdomain's local rows compressed.
+
+    Every row is scaled to unit 2-norm.  The rows that touch one column
+    block only (a subdomain's PDE rows and the boundary rows it owns) are
+    reduced by one Householder QR of the scaled ``[A_k | b_k]`` to its first
+    min(r_k, M) rows; the factor's last row, if dropped, has no matrix part
+    and adds the same constant to every residual.  The rows that couple
+    column blocks (continuity rows) follow as they are.  Orthogonal row
+    transforms keep the column norms, the singular values and the
+    least-squares minimizers, so solving the result solves the full
+    row-scaled system.  A system too large for physical memory, counting
+    the solver's copy, is refused before it is allocated.
+    """
     if not blocks:
         raise ValueError("cannot assemble an empty system")
     for block in blocks:
@@ -237,15 +308,53 @@ def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> Glo
             raise ValueError(
                 f"row block width {block.width} does not match the global width {indexing.width}"
             )
-    total_rows = sum(b.n_rows for b in blocks)
-    matrix = np.zeros((total_rows, indexing.width))
-    rhs = np.empty(total_rows)
-    row = 0
+    M = indexing.block_size
+    local: list[list[tuple[Array, Array, Array]]] = [[] for _ in range(indexing.num_subdomains)]
+    coupled = []
     for block in blocks:
-        rhs[row : row + block.n_rows] = block.rhs
-        block.place(matrix[row : row + block.n_rows])
+        scales = _row_scales(block)
+        if _is_local(block):
+            for piece in block.pieces:
+                rows = piece.rows
+                local[piece.col_start // M].append((piece.values, block.rhs[rows], scales[rows]))
+        else:
+            coupled.append((block, scales))
+    local_rows = [sum(values.shape[0] for values, _, _ in parts) for parts in local]
+    total = sum(min(r, M) for r in local_rows) + sum(block.n_rows for block, _ in coupled)
+    need = 2 * total * indexing.width * 8
+    available = _physical_memory()
+    if need > available:
+        raise ValueError(
+            f"the {total} x {indexing.width} least-squares system and the solver's copy "
+            f"need {need / 1e9:.1f} GB, more than the {available / 1e9:.1f} GB of physical memory"
+        )
+
+    matrix = np.zeros((total, indexing.width))
+    rhs = np.empty(total)
+    row = 0
+    for k, parts in enumerate(local):
+        if not parts:
+            continue
+        scaled = np.empty((local_rows[k], M + 1))
+        start = 0
+        for values, b_part, norms in parts:
+            stop = start + values.shape[0]
+            np.divide(values, norms[:, None], out=scaled[start:stop, :M])
+            np.divide(b_part, norms, out=scaled[start:stop, M])
+            start = stop
+        r = np.linalg.qr(scaled, mode="r")
+        del scaled
+        kept = min(local_rows[k], M)
+        matrix[row : row + kept, k * M : (k + 1) * M] = r[:kept, :M]
+        rhs[row : row + kept] = r[:kept, M]
+        row += kept
+    for block, scales in coupled:
+        out = matrix[row : row + block.n_rows]
+        block.place(out)
+        out /= scales[:, None]
+        rhs[row : row + block.n_rows] = block.rhs / scales
         row += block.n_rows
-    return GlobalSystem(matrix=matrix, rhs=rhs, indexing=indexing)
+    return GlobalSystem(matrix=matrix, rhs=rhs, indexing=indexing, blocks=list(blocks))
 
 
 @dataclass
@@ -257,48 +366,33 @@ class LstsqLog:
     sigma_max: list[float] = field(default_factory=list)
 
 
-def _unit_scales(sum_of_squares: Array) -> Array:
-    """2-norms from their squares; an all-zero row or column keeps scale 1."""
-    norms = np.sqrt(sum_of_squares)
-    norms[norms == 0.0] = 1.0
-    return norms
-
-
 def solve_least_squares(
     system: GlobalSystem, log: LstsqLog | None = None
 ) -> tuple[CoefficientVector, float]:
-    """Least-squares solution of the equilibrated system and its residual 2-norm.
+    """Least-squares solution of the compressed system and the full residual 2-norm.
 
-    The matrix is scaled in place, with no array of its size allocated:
-    every row to unit 2-norm, then every column (all-zero ones stay).  So
-    the solve consumes its system: afterwards ``system.matrix`` holds the
-    scaled matrix, and a caller that needs the matrix again passes a copy.
-    One LAPACK ``gelsd`` call solves the scaled system, dropping singular
+    The rows arrive at unit 2-norm (`assemble_global`); here every column
+    of the matrix is scaled to unit 2-norm in place (all-zero ones stay),
+    with no array of its size allocated.  So the solve consumes its
+    system: afterwards ``system.matrix`` holds the scaled matrix.  One
+    LAPACK ``gelsd`` call solves the scaled system, dropping singular
     values at or below ``RCOND`` times the largest; U and V are never
     formed.  Undoing the column scaling gives ``beta``.  Every solve goes
-    through here, so identical matrices give identical coefficients (SVD
+    through here, so identical systems give identical coefficients (SVD
     implementations keep different near-cutoff subspaces of a
     rank-deficient matrix, which shows up as noise on the solution).
-    ``log`` receives the residual 2-norm of the unscaled system and the
-    numeric rank and largest singular value of the scaled one.
+    ``log`` receives the residual 2-norm of the full unscaled system,
+    formed from the row blocks, and the numeric rank and largest singular
+    value of the equilibrated one.
     """
-    A, b = system.matrix, system.rhs
-    # A non-finite entry makes its row's sum of squares non-finite, so this
-    # check needs no pass of its own over the matrix.
-    squares = np.einsum("ij,ij->i", A, A)
-    if not (np.isfinite(squares).all() and np.isfinite(b).all()):
-        raise ValueError("system has non-finite entries or a row too large to scale")
-    rows = _unit_scales(squares)
-    A /= rows[:, None]
+    A = system.matrix
     cols = _unit_scales(np.einsum("ij,ij->j", A, A))
     A /= cols
-    b_scaled = b / rows
-    y, _, rank, sigma = np.linalg.lstsq(A, b_scaled, rcond=RCOND)
-    r = A @ y
-    r -= b_scaled
-    r *= rows  # the residual of the unscaled rows
-    residual = float(np.linalg.norm(r))
+    y, _, rank, sigma = np.linalg.lstsq(A, system.rhs, rcond=RCOND)
     beta = y / cols
+    residual = float(
+        np.linalg.norm(np.concatenate([block.matvec(beta) - block.rhs for block in system.blocks]))
+    )
     if log is not None:
         log.residual.append(residual)
         log.rank.append(int(rank))
@@ -307,8 +401,13 @@ def solve_least_squares(
 
 
 def dump_system(system: GlobalSystem, path) -> None:
-    """Write (matrix, rhs) to a compressed ``.npz`` file."""
+    """Write the full unscaled system (matrix, rhs) to a compressed ``.npz`` file.
+
+    The file holds one row per collocation equation, in block order, as
+    assembled; this is the only place that dense system is formed.
+    """
     path = str(path)
     if not path.endswith(".npz"):
         raise ValueError("system dumps support .npz paths only")
-    np.savez_compressed(path, matrix=system.matrix, rhs=system.rhs)
+    matrix, rhs = system.dense()
+    np.savez_compressed(path, matrix=matrix, rhs=rhs)

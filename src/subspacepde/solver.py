@@ -7,12 +7,14 @@ linearized around the current iterate (see `assembly`): the nonlinear term
 moves to the right-hand side, and the slots listed as ``live`` keep their
 partial derivatives in the matrix.  Picard sweeps keep live the
 derivatives the term reads; Newton steps keep every slot with a partial.
-Every sweep, linear, Picard or Newton, ends in the same least-squares
-solve (`assembly.solve_least_squares`), so an unchanged system gives
-unchanged coefficients whichever method posed it.  Iteration starts from
-one Picard sweep at the trained networks' unit-coefficient output; Newton
-runs a few Picard sweeps first, because that raw output ignores boundary
-data.
+Every sweep, linear, Picard or Newton, assembles the system compressed by
+one local QR per subdomain (`assembly.assemble_global`) and ends in the
+same least-squares solve (`assembly.solve_least_squares`), so an unchanged
+system gives unchanged coefficients whichever method posed it.  Iteration
+starts from one Picard sweep at the trained networks' unit-coefficient
+output; Newton runs a few Picard sweeps first, because that raw output
+ignores boundary data.  Newton also stops once its updates stall at the
+noise floor of the least-squares solve (see `_iterate`).
 
 Non-convergence of an iteration is reported, not raised: the best iterate
 comes back with ``converged=False``.
@@ -101,11 +103,15 @@ class NonlinearConfig:
 class SolveReport:
     """Everything a solve produced, ready for serialization.
 
+    ``rows`` counts the collocation equations, one row each of the full
+    system; the solve factors a compressed system of at most M rows per
+    subdomain plus the continuity rows.
     ``ls_residual_history``, ``ls_rank_history`` and
     ``ls_sigma_max_history`` hold one entry per least-squares solve: the
-    residual 2-norm of the system as assembled, and the numeric rank and
-    largest singular value of the equilibrated system that
-    `solve_least_squares` factors (rows, then columns, at unit 2-norm).
+    residual 2-norm of the full system as assembled, and the numeric rank
+    and largest singular value of the equilibrated system that
+    `solve_least_squares` factors (rows, then columns, at unit 2-norm; the
+    compression between them changes neither).
     ``nonlinear_residual_history`` holds the 2-norm of the stacked
     nonlinear residual before each Newton step and, for both methods, at
     the returned iterate last.  ``samples`` holds the evaluation-grid
@@ -361,17 +367,25 @@ def _iterate(
     interior solution is evaluated once per iterate; that one evaluation
     gives the update size, the residual and the next linearization.
     ``residual_history`` collects the stacked nonlinear residual before
-    each sweep; with it, the converging sweep is kept only if it does not
-    raise that residual.  Its step is below ``tol``, so either iterate is a
-    fixed point, and at the floor of the least-squares solve rounding alone
-    decides which has the smaller residual.  Returns (beta, sweeps used,
-    converged).
+    each sweep, and is given for Newton steps only.  With it, the
+    converging sweep is kept only if it does not raise that residual, and
+    the iteration has also converged once its steps reach the noise floor
+    of the least-squares solve: a step ends it when either its update or
+    the one before is at most sqrt(``tol``), and the step raised the
+    residual or its update did not shrink.  Beyond that point a Newton step
+    only moves rounding, so either of the last two iterates is a fixed
+    point to the solve's accuracy, and the one with the smaller residual is
+    kept.  Returns (beta, sweeps used, converged).
     """
     solution = disc.interior_solution(beta)
     best = (np.inf, beta)
+    last_delta = np.inf
+    newton = residual_history is not None
+    if newton:
+        residual = disc.stacked_residual_norm(beta, solution)
     for sweep in range(1, max_iters + 1):
-        if residual_history is not None:
-            residual_history.append(disc.stacked_residual_norm(beta, solution))
+        if newton:
+            residual_history.append(residual)
         system = disc.assemble_linear_system(solution, live)
         previous = beta
         beta, _ = solve_least_squares(system, ls_log)
@@ -381,12 +395,14 @@ def _iterate(
         delta = float(np.max(np.abs(np.concatenate([u for u, _ in solution]) - u_prev)))
         if delta < best[0]:
             best = (delta, beta)
-        if delta <= tol:
-            if residual_history is not None and (
-                disc.stacked_residual_norm(beta, solution) > residual_history[-1]
-            ):
-                beta = previous
-            return beta, sweep, True
+        raised = False
+        if newton:
+            residual = disc.stacked_residual_norm(beta, solution)
+            raised = residual > residual_history[-1]
+        floor = newton and min(delta, last_delta) <= np.sqrt(tol) and (raised or delta >= last_delta)
+        last_delta = delta
+        if delta <= tol or floor:
+            return (previous if raised else beta), sweep, True
     return (best[1] if np.isfinite(best[0]) else beta), max_iters, False
 
 
@@ -410,7 +426,7 @@ def solve(
     Newton steps.  ``evaluation`` holds the per-axis point counts of the
     uniform grid the solution is reported on; it defaults to the sampling
     count times the partition count of each axis.  ``dump_path`` receives
-    the first assembled system.
+    the first assembled system, full and unscaled (`dump_system`).
     """
     start = time.perf_counter()
     term = problem.nonlinear
@@ -430,7 +446,7 @@ def solve(
     picard = () if term is None else term.orders
     system = disc.assemble_linear_system(solution, picard)
     disc.assemble_seconds += time.perf_counter() - t0
-    rows = system.matrix.shape[0]
+    rows = system.collocation_rows
     if dump_path is not None:
         dump_system(system, dump_path)
 

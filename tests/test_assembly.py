@@ -5,10 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from subspacepde import assembly
 from subspacepde.assembly import (
+    RCOND,
     GlobalIndexing,
     LstsqLog,
     RowBlock,
+    _Piece,
     assemble_boundary_rows,
     assemble_continuity_rows,
     assemble_global,
@@ -332,8 +335,12 @@ class TestAssembleGlobal:
         ev = monomial_eval(pts, 2, [(2,)])
         block = assemble_pde_rows(problem, indexing, 0, pts, ev)
         system = assemble_global([block], indexing)
-        np.testing.assert_array_equal(system.matrix, block.to_dense())
-        np.testing.assert_array_equal(system.rhs, block.rhs)
+        matrix, rhs = system.dense()
+        np.testing.assert_array_equal(matrix, block.to_dense())
+        np.testing.assert_array_equal(rhs, block.rhs)
+        # the compressed rows keep the row-scaled system's Gram matrix
+        scaled = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+        np.testing.assert_allclose(system.matrix.T @ system.matrix, scaled.T @ scaled, atol=1e-14)
 
     def test_width_mismatch(self):
         indexing = GlobalIndexing(2, 2)
@@ -378,7 +385,9 @@ class TestAssembleGlobal:
             ev = fake_eval(ipts.points, [(1,)])
             blocks.append(assemble_continuity_rows(iface, indexing, ipts, ev, ev))
         system = assemble_global(blocks, indexing)
+        # every cell has fewer local rows than M = 100, so none is compressed
         assert system.matrix.shape == (200 + 2 + 6, 400)
+        assert system.collocation_rows == 200 + 2 + 6
 
     def test_single_subdomain_has_no_continuity_rows(self):
         problem = helmholtz_like()
@@ -386,32 +395,29 @@ class TestAssembleGlobal:
         assert ifaces == []
 
 
-class TestSolveLeastSquares:
-    def system(self, A, b):
-        indexing = GlobalIndexing(1, A.shape[1])
-        block = RowBlock(
-            width=A.shape[1],
-            n_rows=A.shape[0],
-            rhs=np.asarray(b, dtype=float),
-            pieces=[],
-        )
-        sys = assemble_global([block], indexing)
-        sys.matrix[:] = A
-        return sys
+def one_cell_system(A, b):
+    """The compressed system of the rows ``A x = b``, all in one column block."""
+    A = np.asarray(A, dtype=float)
+    block = RowBlock(
+        width=A.shape[1], n_rows=A.shape[0], rhs=np.asarray(b, dtype=float), pieces=[_Piece(0, 0, A)]
+    )
+    return assemble_global([block], GlobalIndexing(1, A.shape[1]))
 
+
+class TestSolveLeastSquares:
     def test_identity(self):
         b = np.array([3.0, -1.0])
-        beta, resid = solve_least_squares(self.system(np.eye(2), b))
+        beta, resid = solve_least_squares(one_cell_system(np.eye(2), b))
         np.testing.assert_allclose(beta.values, b)
         assert resid == pytest.approx(0.0, abs=1e-14)
 
     def test_overdetermined_mean(self):
-        beta, resid = solve_least_squares(self.system(np.array([[1.0], [1.0]]), [0.0, 2.0]))
+        beta, resid = solve_least_squares(one_cell_system(np.array([[1.0], [1.0]]), [0.0, 2.0]))
         np.testing.assert_allclose(beta.values, [1.0])
         assert resid == pytest.approx(np.sqrt(2.0))
 
     def test_minimum_norm_for_rank_deficient(self):
-        beta, _ = solve_least_squares(self.system(np.array([[1.0, 1.0]]), [2.0]))
+        beta, _ = solve_least_squares(one_cell_system(np.array([[1.0, 1.0]]), [2.0]))
         np.testing.assert_allclose(beta.values, [1.0, 1.0])
 
     def test_normal_equations_residual(self):
@@ -420,7 +426,7 @@ class TestSolveLeastSquares:
         rng = np.random.default_rng(42)
         A = rng.normal(size=(40, 12))
         b = rng.normal(size=40)
-        beta, _ = solve_least_squares(self.system(A, b))
+        beta, _ = solve_least_squares(one_cell_system(A, b))
         weights = 1.0 / np.sqrt(np.sum(A * A, axis=1))
         A_rows, b_rows = A * weights[:, None], b * weights
         gradient = A_rows.T @ (A_rows @ beta.values - b_rows)
@@ -431,7 +437,7 @@ class TestSolveLeastSquares:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(25, 6)) * np.logspace(-3, 3, 25)[:, None]
         b = rng.normal(size=25)
-        system = self.system(A, b)
+        system = one_cell_system(A, b)
         beta, resid = solve_least_squares(system)
         assert resid == pytest.approx(np.linalg.norm(A @ beta.values - b), rel=1e-12)
 
@@ -439,10 +445,10 @@ class TestSolveLeastSquares:
         rng = np.random.default_rng(5)
         A = rng.normal(size=(30, 8))
         b = rng.normal(size=30)  # inconsistent: the row weights matter
-        beta1, _ = solve_least_squares(self.system(A, b))
+        beta1, _ = solve_least_squares(one_cell_system(A, b))
         A[4] *= 1e8
         b[4] *= 1e8
-        beta2, _ = solve_least_squares(self.system(A, b))
+        beta2, _ = solve_least_squares(one_cell_system(A, b))
         error = np.linalg.norm(beta2.values - beta1.values)
         assert error <= 1e-10 * np.linalg.norm(beta1.values)
 
@@ -450,46 +456,49 @@ class TestSolveLeastSquares:
         rng = np.random.default_rng(6)
         A = rng.normal(size=(30, 8))
         b = A @ rng.normal(size=8)  # consistent, so the row weights do not matter
-        beta1, _ = solve_least_squares(self.system(A, b))
+        beta1, _ = solve_least_squares(one_cell_system(A, b))
         A[:, 2] *= 1e-8
-        beta2, _ = solve_least_squares(self.system(A, b))
+        beta2, _ = solve_least_squares(one_cell_system(A, b))
         unscaled = beta2.values.copy()
         unscaled[2] *= 1e-8
         error = np.linalg.norm(unscaled - beta1.values)
         assert error <= 1e-10 * np.linalg.norm(beta1.values)
 
     def test_solve_consumes_the_matrix(self):
-        # The scaling is done in place: the system's matrix is overwritten.
-        A = np.array([[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
-        system = self.system(A, [1.0, 2.0, 0.0])
+        # The column scaling is done in place: the system's matrix is
+        # overwritten by its scaled self.
+        system = one_cell_system(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), [1.0, 2.0, 0.0])
+        matrix = system.matrix
+        assert not np.allclose(np.linalg.norm(matrix, axis=0), 1.0)
         solve_least_squares(system)
-        np.testing.assert_array_equal(system.matrix, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert system.matrix is matrix
+        np.testing.assert_allclose(np.linalg.norm(matrix, axis=0), 1.0, rtol=1e-15)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(30, 8))
         b = rng.normal(size=30)
         perm = rng.permutation(30)
-        beta1, _ = solve_least_squares(self.system(A, b))
-        beta2, _ = solve_least_squares(self.system(A[perm], b[perm]))
+        beta1, _ = solve_least_squares(one_cell_system(A, b))
+        beta2, _ = solve_least_squares(one_cell_system(A[perm], b[perm]))
         assert np.max(np.abs(beta1.values - beta2.values)) <= 1e-10
 
     def test_non_finite_rejected(self):
         A = np.array([[np.nan]])
         with pytest.raises(ValueError):
-            solve_least_squares(self.system(A, [1.0]))
+            solve_least_squares(one_cell_system(A, [1.0]))
 
     def test_row_too_large_to_scale_rejected(self):
         # Its squared norm overflows; scaling by an infinite norm would
         # silently zero the row.
         A = np.array([[1e200, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="too large to scale"):
-            solve_least_squares(self.system(A, [1.0, 1.0]))
+            solve_least_squares(one_cell_system(A, [1.0, 1.0]))
 
     def test_log_reports_rank_and_sigma_max(self):
         log = LstsqLog()
-        _, resid = solve_least_squares(self.system(np.array([[1.0, 1.0]]), [2.0]), log)
-        solve_least_squares(self.system(np.eye(2), [1.0, 1.0]), log)
+        _, resid = solve_least_squares(one_cell_system(np.array([[1.0, 1.0]]), [2.0]), log)
+        solve_least_squares(one_cell_system(np.eye(2), [1.0, 1.0]), log)
         assert len(log.residual) == len(log.rank) == len(log.sigma_max) == 2
         assert log.residual[0] == resid
         assert log.rank == [1, 2]
@@ -497,26 +506,115 @@ class TestSolveLeastSquares:
 
     def test_cutoff_keeps_4e14_and_drops_4e15(self):
         # RCOND = 1e-14 relative, applied to the equilibrated matrix: after
-        # rows and then columns are scaled to unit norm, the third singular
-        # value (3.8e-14 of the largest) stays and the fourth (4.4e-15) goes.
-        # The scaling is formed here as the solve forms it, so both SVDs see
-        # the same matrix to the last bit.
+        # rows are scaled to unit norm, compressed by the QR of [A | b] and
+        # then columns scaled to unit norm, the third singular value (3.8e-14
+        # of the largest) stays and the fourth (4.4e-15) goes.  The scaling
+        # and the QR are formed here as the solve forms them, so both SVDs
+        # see the same matrix to the last bit.
         rng = np.random.default_rng(11)
         q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         A = q1 @ np.diag([1.0, 1e-6, 3e-14, 3e-15]) @ q2.T
         b = rng.normal(size=4)
         rows = np.sqrt(np.einsum("ij,ij->i", A, A))
-        scaled = A / rows[:, None]
+        r = np.linalg.qr(np.column_stack([A / rows[:, None], b / rows]), mode="r")
+        scaled, c = r[:4, :4], r[:4, 4]
         cols = np.sqrt(np.einsum("ij,ij->j", scaled, scaled))
         scaled = scaled / cols
         u, s, vt = np.linalg.svd(scaled)
         assert 1e-14 < s[2] / s[0] < 1e-13 and 1e-15 < s[3] / s[0] < 1e-14
-        expected = (vt[:3].T @ ((u[:, :3].T @ (b / rows)) / s[:3])) / cols
+        expected = (vt[:3].T @ ((u[:, :3].T @ c) / s[:3])) / cols
         log = LstsqLog()
-        beta, _ = solve_least_squares(self.system(A, b), log)
+        beta, _ = solve_least_squares(one_cell_system(A, b), log)
         assert log.rank == [3]
         assert np.linalg.norm(beta.values - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+class TestCompressedSystem:
+    """The local-QR compression against the full row- and column-equilibrated solve."""
+
+    M = 6
+
+    def blocks(self, local_rows, seed=0):
+        # A PDE block per cell (rows of widely different norms), boundary
+        # rows owned by the first and last cells, and C1 continuity rows at
+        # 3 points of each interface.
+        rng = np.random.default_rng(seed)
+        cells = len(local_rows)
+        indexing = GlobalIndexing(cells, self.M)
+        width = indexing.width
+        blocks = []
+        for k, r in enumerate(local_rows):
+            values = rng.normal(size=(r, self.M)) * 10.0 ** rng.uniform(-3, 3, (r, 1))
+            blocks.append(RowBlock(width, r, rng.normal(size=r), [_Piece(0, indexing.col_offset(k), values)]))
+        values = rng.normal(size=(3, self.M))
+        blocks.append(
+            RowBlock(
+                width,
+                3,
+                rng.normal(size=3),
+                [_Piece(0, 0, values[:2]), _Piece(2, indexing.col_offset(cells - 1), values[2:])],
+            )
+        )
+        for k in range(cells - 1):
+            iface = InterfaceSpec(
+                left=k, right=k + 1, axis=0, facet_bounds=((1.0, 1.0),), continuity_order=1
+            )
+            left, right = (
+                BasisEval(values=rng.normal(size=(3, self.M)), derivs={(1,): rng.normal(size=(3, self.M))})
+                for _ in range(2)
+            )
+            blocks.append(assemble_continuity_rows(iface, indexing, np.zeros((3, 1)), left, right))
+        return blocks, indexing
+
+    def test_matches_uncompressed_equilibrated_reference(self):
+        blocks, indexing = self.blocks((20, 4, 15))
+        matrix, rhs = assemble_global(blocks, indexing).dense()
+        rows = np.linalg.norm(matrix, axis=1)
+        A, b = matrix / rows[:, None], rhs / rows
+        cols = np.linalg.norm(A, axis=0)
+        y, _, rank, sigma = np.linalg.lstsq(A / cols, b, rcond=RCOND)
+        expected = y / cols
+        assert rank == indexing.width  # full rank, so the minimizer is unique
+
+        log = LstsqLog()
+        beta, resid = solve_least_squares(assemble_global(blocks, indexing), log)
+        assert np.linalg.norm(beta.values - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert log.rank == [rank]
+        assert log.sigma_max[0] == pytest.approx(sigma[0], rel=1e-10)
+        assert resid == pytest.approx(np.linalg.norm(matrix @ beta.values - rhs), rel=1e-12)
+
+    @pytest.mark.parametrize("local_rows", [(20, 4, 15), (6, 7, 5), (2, 30)])
+    def test_row_count_is_min_of_local_rows_and_M_plus_coupled_rows(self, local_rows):
+        blocks, indexing = self.blocks(local_rows)
+        system = assemble_global(blocks, indexing)
+        # the boundary rows add 2 local rows to the first cell, 1 to the last
+        owned = list(local_rows)
+        owned[0] += 2
+        owned[-1] += 1
+        coupled = 6 * (len(local_rows) - 1)
+        assert system.matrix.shape == (sum(min(r, self.M) for r in owned) + coupled, indexing.width)
+        assert system.collocation_rows == sum(owned) + coupled
+
+    def test_cell_with_fewer_rows_than_M_keeps_all_of_them(self):
+        blocks, indexing = self.blocks((20, 4, 15))
+        system = assemble_global(blocks, indexing)
+        # cell 1's 4 rows follow cell 0's 6 and keep their row-scaled Gram matrix
+        own = system.matrix[6:10]
+        assert not (own[:, indexing.col_offset(1) : indexing.col_offset(2)] == 0).all(axis=1).any()
+        np.testing.assert_array_equal(np.delete(own, np.s_[6:12], axis=1), 0.0)
+        local = blocks[1].pieces[0].values
+        scaled = local / np.linalg.norm(local, axis=1)[:, None]
+        np.testing.assert_allclose(own[:, 6:12].T @ own[:, 6:12], scaled.T @ scaled, atol=1e-14)
+
+    def test_system_too_large_for_memory_refused(self, monkeypatch):
+        blocks, indexing = self.blocks((20, 4, 15))
+        need = 2 * (6 + 4 + 6 + 12) * indexing.width * 8
+        monkeypatch.setattr(assembly, "_physical_memory", lambda: need)
+        assemble_global(blocks, indexing)
+        monkeypatch.setattr(assembly, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match=r"28 x 18 .* physical memory"):
+            assemble_global(blocks, indexing)
 
 
 class TestPolynomialOracle:
@@ -579,22 +677,27 @@ class TestPolynomialOracle:
                 )
             )
         system = assemble_global(blocks, indexing)
-        np.testing.assert_array_equal(system.matrix[:6, 4:], 0.0)
-        np.testing.assert_array_equal(system.matrix[6:, :4], 0.0)
+        # each cell's 6 rows compress to M = 4 rows in its own column block
+        assert system.matrix.shape == (8, 8)
+        np.testing.assert_array_equal(system.matrix[:4, 4:], 0.0)
+        np.testing.assert_array_equal(system.matrix[4:, :4], 0.0)
+        matrix, _ = system.dense()
+        np.testing.assert_array_equal(matrix[:6, 4:], 0.0)
+        np.testing.assert_array_equal(matrix[6:, :4], 0.0)
 
 
 class TestUtilities:
     def test_dump_npz(self, tmp_path):
-        indexing = GlobalIndexing(1, 2)
-        block = RowBlock(width=2, n_rows=2, rhs=np.array([1.0, 2.0]), pieces=[])
-        system = assemble_global([block], indexing)
-        system.matrix[:] = np.arange(4.0).reshape(2, 2)
+        # the file holds the full unscaled system, not the compressed one
+        A = np.arange(6.0).reshape(3, 2)
+        system = one_cell_system(A, [1.0, 2.0, 3.0])
+        assert system.matrix.shape == (2, 2)
 
         npz = tmp_path / "system.npz"
         dump_system(system, npz)
         loaded = np.load(npz)
-        np.testing.assert_array_equal(loaded["matrix"], system.matrix)
-        np.testing.assert_array_equal(loaded["rhs"], system.rhs)
+        np.testing.assert_array_equal(loaded["matrix"], A)
+        np.testing.assert_array_equal(loaded["rhs"], [1.0, 2.0, 3.0])
 
     def test_dump_unknown_extension(self, tmp_path):
         indexing = GlobalIndexing(1, 1)

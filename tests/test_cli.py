@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subspacepde import cli
+from subspacepde import assembly, cli
 from subspacepde.cli import main
 from subspacepde.config import ConfigError, from_dict, load_config
 from subspacepde.network import NetworkConfig
@@ -275,6 +275,13 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["solve", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_system_too_large_for_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(assembly, "_physical_memory", lambda: 1)
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, tiny_config(out))]) == 3
+        assert "GB, more than the" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_reports_identical_modulo_wall_times(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

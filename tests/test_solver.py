@@ -166,10 +166,23 @@ class TestSolveLinear:
         # reaches |beta| ~ 1e11, where both residuals are mostly cancellation
         disc = Discretization(**tiny_linear_setup(), init_mode="uniform_range")
         system = disc.assemble_linear_system()
+        matrix, rhs = system.dense()
         rng = np.random.default_rng(0)
         beta = CoefficientVector(rng.normal(size=disc.indexing.width), disc.indexing.block_size)
-        dense = np.linalg.norm(system.matrix @ beta.values - system.rhs)
+        dense = np.linalg.norm(matrix @ beta.values - rhs)
         assert disc.stacked_residual_norm(beta) == pytest.approx(dense, rel=1e-12)
+
+    def test_logged_residual_is_that_of_the_full_system(self):
+        # the solve factors the compressed system, but logs the residual of
+        # the full stacked one; at M = 10 |beta| stays ~1e5, so rounding
+        # does not decide the comparison
+        disc = Discretization(**tiny_linear_setup(M=10), init_mode="uniform_range")
+        system = disc.assemble_linear_system()
+        matrix, rhs = system.dense()
+        assert matrix.shape == (system.collocation_rows, 20) and system.matrix.shape == (22, 20)
+        log = LstsqLog()
+        beta, _ = solve_least_squares(system, log)
+        assert log.residual == [pytest.approx(np.linalg.norm(matrix @ beta.values - rhs), rel=1e-12)]
 
     @pytest.mark.parametrize("method", [None, "picard", "newton"])
     def test_least_squares_histories_aligned(self, method):
@@ -350,6 +363,64 @@ class TestNonlinearDrivers:
         out, sweeps, converged = _iterate(disc, beta, live, 5, 1e-6, LstsqLog(), history)
         assert converged and sweeps == 1
         assert (out is not beta) == keeps_new
+
+    class ScriptedDisc:
+        """An iteration's hooks: the interior solution is the coefficients themselves."""
+
+        def __init__(self, residuals):
+            self.residuals = iter(residuals)
+
+        def interior_solution(self, beta):
+            return [(beta.values, {})]
+
+        def assemble_linear_system(self, solution, live):
+            return None
+
+        def stacked_residual_norm(self, beta, solution=None):
+            return next(self.residuals)
+
+    def scripted(self, monkeypatch, updates, residuals, newton, tol=1e-12):
+        """`_iterate` over solves whose successive updates are ``updates``.
+
+        ``residuals`` are the stacked residuals at the start and after each step.
+        """
+        iterates = iter(np.cumsum(updates))
+        monkeypatch.setattr(
+            solver,
+            "solve_least_squares",
+            lambda system, log: (CoefficientVector(np.array([next(iterates)]), 1), 0.0),
+        )
+        history = [] if newton else None
+        start = CoefficientVector(np.zeros(1), 1)
+        disc = self.ScriptedDisc(residuals)
+        beta, steps, converged = _iterate(disc, start, (), len(updates), tol, LstsqLog(), history)
+        return beta.values[0], steps, converged
+
+    def test_newton_update_that_stops_shrinking_at_the_floor_converges(self, monkeypatch):
+        # after an update of 2e-12 <= sqrt(tol), one of 3e-12 does not shrink
+        updates = [1e-3, 1e-8, 2e-12, 3e-12, 1e-13]
+        residuals = [1.0, 1e-3, 1e-8, 9e-9, 8e-9, 7e-9]
+        beta, steps, converged = self.scripted(monkeypatch, updates, residuals, newton=True)
+        assert converged and steps == 4 and beta == sum(updates[:4])
+        # Picard keeps going until an update is at most tol
+        _, sweeps, converged = self.scripted(monkeypatch, updates, residuals, newton=False)
+        assert converged and sweeps == 5
+
+    def test_newton_step_that_raises_the_residual_at_the_floor_converges(self, monkeypatch):
+        # the third update still shrinks, but raises the residual: the
+        # iteration ends and keeps the iterate before it
+        updates = [1e-3, 1e-8, 2e-12, 1e-12]
+        residuals = [1.0, 1e-3, 1e-8, 1.1e-8, 1e-8]
+        beta, steps, converged = self.scripted(monkeypatch, updates, residuals, newton=True)
+        assert converged and steps == 3 and beta == sum(updates[:2])
+
+    def test_newton_updates_above_sqrt_tol_do_not_converge(self, monkeypatch):
+        # neither a growing update nor a rising residual is a stall above
+        # sqrt(tol) = 1e-6
+        updates = [1e-3, 2e-6, 3e-6, 3e-6]
+        residuals = [1.0, 1e-3, 2e-3, 3e-3, 4e-3]
+        _, steps, converged = self.scripted(monkeypatch, updates, residuals, newton=True)
+        assert not converged and steps == 4
 
     def test_non_convergence_reported_not_raised(self):
         problem = builtin("nonlinear_helmholtz1d")
