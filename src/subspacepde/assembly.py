@@ -12,11 +12,12 @@ formed only by `dump_system`.
 
 The least-squares solve equilibrates the system: every row is scaled to
 unit 2-norm, then every column.  Between the two, `assemble_global`
-compresses it: the rows that touch one subdomain's columns only (its PDE
-rows and the boundary rows it owns) are reduced by a local QR to at most
-M rows, and the continuity rows are appended.  Orthogonal row transforms
-keep the singular values and the minimizers, so the compressed system
-stands for the full one.  One LAPACK ``gelsd`` call then solves it in the
+reduces it to a triangular factor: the rows that touch one subdomain's
+columns only (its PDE rows and the boundary rows it owns) are reduced by a
+local QR to at most M rows, then the continuity rows are eliminated one
+subdomain at a time, leaving at most one row per column.  Orthogonal row
+transforms keep the singular values and the minimizers, so the factor
+stands for the full system.  One LAPACK ``gelsd`` call then solves it in the
 minimum-norm least-squares sense, with singular values at or below
 ``RCOND`` of the largest truncated; neural bases are often nearly
 dependent, so the truncation is what keeps the solve stable.  Without the
@@ -228,13 +229,14 @@ def assemble_continuity_rows(
 
 @dataclass
 class GlobalSystem:
-    """The compressed least-squares system and the row blocks it stands for.
+    """The factored least-squares system and the row blocks it stands for.
 
     ``matrix`` and ``rhs`` are what `solve_least_squares` solves: the rows
-    scaled to unit 2-norm, each subdomain's local rows reduced to their
-    triangular factor, then the coupled rows.  ``blocks`` are the rows as
-    assembled, for the residual of the full unscaled system and for
-    `dump_system`.
+    scaled to unit 2-norm and reduced by orthogonal transforms to an upper
+    block-triangular factor of at most ``indexing.width`` rows, whose rows
+    of column block k start in that block (see `assemble_global`).
+    ``blocks`` are the rows as assembled, for the residual of the full
+    unscaled system and for `dump_system`.
     """
 
     matrix: Array
@@ -287,19 +289,45 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _local_factor(parts: list[tuple[Array, Array, Array]], M: int) -> Array:
+    """The first min(r_k, M) rows of the QR factor of one subdomain's scaled ``[A_k | b_k]``.
+
+    A factor row past M has no matrix part: it adds the same constant to
+    every residual, so it is dropped.
+    """
+    total = sum(values.shape[0] for values, _, _ in parts)
+    scaled = np.empty((total, M + 1))
+    start = 0
+    for values, b_part, norms in parts:
+        stop = start + values.shape[0]
+        np.divide(values, norms[:, None], out=scaled[start:stop, :M])
+        np.divide(b_part, norms, out=scaled[start:stop, M])
+        start = stop
+    return np.linalg.qr(scaled, mode="r")[: min(total, M)]
+
+
 def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> GlobalSystem:
-    """The row-equilibrated system with each subdomain's local rows compressed.
+    """The row-equilibrated system reduced to an upper block-triangular factor.
 
     Every row is scaled to unit 2-norm.  The rows that touch one column
     block only (a subdomain's PDE rows and the boundary rows it owns) are
-    reduced by one Householder QR of the scaled ``[A_k | b_k]`` to its first
-    min(r_k, M) rows; the factor's last row, if dropped, has no matrix part
-    and adds the same constant to every residual.  The rows that couple
-    column blocks (continuity rows) follow as they are.  Orthogonal row
-    transforms keep the column norms, the singular values and the
-    least-squares minimizers, so solving the result solves the full
-    row-scaled system.  A system too large for physical memory, counting
-    the solver's copy, is refused before it is allocated.
+    first reduced by one Householder QR of the scaled ``[A_k | b_k]`` to its
+    first min(r_k, M) rows, R_k.  The rows that couple column blocks
+    (continuity rows) are then eliminated front by front, in subdomain
+    order, as a row-merge QR does (George & Heath 1980).  Front k stacks the
+    rows carried from front k-1, R_k and the coupled rows whose lowest
+    column block is k, over columns kM..n and the right-hand side; one QR
+    of it gives min(rows, M) rows of the factor, and the rows after them,
+    zero in block k, are carried to front k+1.  A front with nothing to
+    eliminate (no carried and no coupled rows) is written as R_k.  Factor
+    rows with no matrix part add the same constant to every residual and
+    are dropped.  The factor has at most n rows, and the rows of front k
+    are zero in the column blocks before k.  Orthogonal row transforms keep
+    the column norms, the singular values and the least-squares
+    minimizers, so solving the factor solves the full row-scaled system.
+    Besides the factor, the fronts are the only arrays as wide as the
+    system.  A factor too large for physical memory, counting the solver's
+    copy, is refused before it is allocated.
     """
     if not blocks:
         raise ValueError("cannot assemble an empty system")
@@ -308,9 +336,10 @@ def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> Glo
             raise ValueError(
                 f"row block width {block.width} does not match the global width {indexing.width}"
             )
-    M = indexing.block_size
-    local: list[list[tuple[Array, Array, Array]]] = [[] for _ in range(indexing.num_subdomains)]
-    coupled = []
+    M, n = indexing.block_size, indexing.width
+    cells = indexing.num_subdomains
+    local: list[list[tuple[Array, Array, Array]]] = [[] for _ in range(cells)]
+    coupled: list[list[tuple[RowBlock, Array]]] = [[] for _ in range(cells)]
     for block in blocks:
         scales = _row_scales(block)
         if _is_local(block):
@@ -318,42 +347,54 @@ def assemble_global(blocks: Sequence[RowBlock], indexing: GlobalIndexing) -> Glo
                 rows = piece.rows
                 local[piece.col_start // M].append((piece.values, block.rhs[rows], scales[rows]))
         else:
-            coupled.append((block, scales))
-    local_rows = [sum(values.shape[0] for values, _, _ in parts) for parts in local]
-    total = sum(min(r, M) for r in local_rows) + sum(block.n_rows for block, _ in coupled)
-    need = 2 * total * indexing.width * 8
+            coupled[min(piece.col_start for piece in block.pieces) // M].append((block, scales))
+
+    # Front k yields min(rows, M) factor rows and carries those of the rest
+    # that have a matrix part: at most the front's n - kM columns.
+    kept = [min(sum(values.shape[0] for values, _, _ in parts), M) for parts in local]
+    front_rows, total, carried = [], 0, 0
+    for k in range(cells):
+        rows = carried + kept[k] + sum(block.n_rows for block, _ in coupled[k])
+        front_rows.append(rows)
+        total += min(rows, M)
+        carried = max(0, min(rows, n - k * M) - M)
+    need = 2 * total * n * 8
     available = _physical_memory()
     if need > available:
         raise ValueError(
-            f"the {total} x {indexing.width} least-squares system and the solver's copy "
+            f"the {total} x {n} least-squares system and the solver's copy "
             f"need {need / 1e9:.1f} GB, more than the {available / 1e9:.1f} GB of physical memory"
         )
 
-    matrix = np.zeros((total, indexing.width))
+    matrix = np.zeros((total, n))
     rhs = np.empty(total)
     row = 0
-    for k, parts in enumerate(local):
-        if not parts:
-            continue
-        scaled = np.empty((local_rows[k], M + 1))
-        start = 0
-        for values, b_part, norms in parts:
-            stop = start + values.shape[0]
-            np.divide(values, norms[:, None], out=scaled[start:stop, :M])
-            np.divide(b_part, norms, out=scaled[start:stop, M])
-            start = stop
-        r = np.linalg.qr(scaled, mode="r")
-        del scaled
-        kept = min(local_rows[k], M)
-        matrix[row : row + kept, k * M : (k + 1) * M] = r[:kept, :M]
-        rhs[row : row + kept] = r[:kept, M]
-        row += kept
-    for block, scales in coupled:
-        out = matrix[row : row + block.n_rows]
-        block.place(out)
-        out /= scales[:, None]
-        rhs[row : row + block.n_rows] = block.rhs / scales
-        row += block.n_rows
+    carry = np.empty((0, n + 1))
+    for k in range(cells):
+        factor = _local_factor(local[k], M)
+        lo = k * M
+        if len(carry) or coupled[k]:
+            front = np.zeros((front_rows[k], n - lo + 1))
+            front[: len(carry)] = carry
+            start = len(carry)
+            front[start : start + len(factor), :M] = factor[:, :M]
+            front[start : start + len(factor), -1] = factor[:, M]
+            start += len(factor)
+            for block, scales in coupled[k]:
+                out = front[start : start + block.n_rows]
+                for piece in block.pieces:
+                    cols = piece.cols
+                    out[piece.rows, cols.start - lo : cols.stop - lo] = piece.values
+                out[:, -1] = block.rhs
+                out /= scales[:, None]
+                start += block.n_rows
+            factor = np.linalg.qr(front, mode="r")
+            del front
+        written = min(len(factor), M)
+        matrix[row : row + written, lo : lo + factor.shape[1] - 1] = factor[:written, :-1]
+        rhs[row : row + written] = factor[:written, -1]
+        row += written
+        carry = factor[M : n - lo, M:]
     return GlobalSystem(matrix=matrix, rhs=rhs, indexing=indexing, blocks=list(blocks))
 
 
@@ -369,7 +410,7 @@ class LstsqLog:
 def solve_least_squares(
     system: GlobalSystem, log: LstsqLog | None = None
 ) -> tuple[CoefficientVector, float]:
-    """Least-squares solution of the compressed system and the full residual 2-norm.
+    """Least-squares solution of the factored system and the full residual 2-norm.
 
     The rows arrive at unit 2-norm (`assemble_global`); here every column
     of the matrix is scaled to unit 2-norm in place (all-zero ones stay),

@@ -7,9 +7,10 @@ linearized around the current iterate (see `assembly`): the nonlinear term
 moves to the right-hand side, and the slots listed as ``live`` keep their
 partial derivatives in the matrix.  Picard sweeps keep live the
 derivatives the term reads; Newton steps keep every slot with a partial.
-Every sweep, linear, Picard or Newton, assembles the system compressed by
-one local QR per subdomain (`assembly.assemble_global`) and ends in the
-same least-squares solve (`assembly.solve_least_squares`), so an unchanged
+Every sweep, linear, Picard or Newton, assembles the system reduced to a
+block-triangular factor by one local QR and one front QR per subdomain
+(`assembly.assemble_global`) and ends in the same least-squares solve
+(`assembly.solve_least_squares`), so an unchanged
 system gives unchanged coefficients whichever method posed it.  Iteration
 starts from one Picard sweep at the trained networks' unit-coefficient
 output; Newton runs a few Picard sweeps first, because that raw output
@@ -104,14 +105,14 @@ class SolveReport:
     """Everything a solve produced, ready for serialization.
 
     ``rows`` counts the collocation equations, one row each of the full
-    system; the solve factors a compressed system of at most M rows per
-    subdomain plus the continuity rows.
+    system; the solve factors a triangular system of at most ``columns``
+    rows.
     ``ls_residual_history``, ``ls_rank_history`` and
     ``ls_sigma_max_history`` hold one entry per least-squares solve: the
     residual 2-norm of the full system as assembled, and the numeric rank
     and largest singular value of the equilibrated system that
     `solve_least_squares` factors (rows, then columns, at unit 2-norm; the
-    compression between them changes neither).
+    reduction between them changes neither).
     ``nonlinear_residual_history`` holds the 2-norm of the stacked
     nonlinear residual before each Newton step and, for both methods, at
     the returned iterate last.  ``samples`` holds the evaluation-grid

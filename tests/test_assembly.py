@@ -531,16 +531,21 @@ class TestSolveLeastSquares:
 
 
 class TestCompressedSystem:
-    """The local-QR compression against the full row- and column-equilibrated solve."""
+    """The factor of the row-scaled system against the full row- and column-equilibrated solve."""
 
     M = 6
+    # 2x2 cells, row-major: cell 0's rows with cell 2 reach two column
+    # blocks ahead, so the rows front 0 carries cross front 1 into front 2
+    GRID_2X2 = ((0, 1), (0, 2), (1, 3), (2, 3))
 
-    def blocks(self, local_rows, seed=0):
+    def blocks(self, local_rows, interfaces=None, seed=0):
         # A PDE block per cell (rows of widely different norms), boundary
         # rows owned by the first and last cells, and C1 continuity rows at
-        # 3 points of each interface.
+        # 3 points of each interface (by default, between neighbours in a row).
         rng = np.random.default_rng(seed)
         cells = len(local_rows)
+        if interfaces is None:
+            interfaces = [(k, k + 1) for k in range(cells - 1)]
         indexing = GlobalIndexing(cells, self.M)
         width = indexing.width
         blocks = []
@@ -556,9 +561,9 @@ class TestCompressedSystem:
                 [_Piece(0, 0, values[:2]), _Piece(2, indexing.col_offset(cells - 1), values[2:])],
             )
         )
-        for k in range(cells - 1):
+        for left_id, right_id in interfaces:
             iface = InterfaceSpec(
-                left=k, right=k + 1, axis=0, facet_bounds=((1.0, 1.0),), continuity_order=1
+                left=left_id, right=right_id, axis=0, facet_bounds=((1.0, 1.0),), continuity_order=1
             )
             left, right = (
                 BasisEval(values=rng.normal(size=(3, self.M)), derivs={(1,): rng.normal(size=(3, self.M))})
@@ -566,6 +571,12 @@ class TestCompressedSystem:
             )
             blocks.append(assemble_continuity_rows(iface, indexing, np.zeros((3, 1)), left, right))
         return blocks, indexing
+
+    LAYOUTS = pytest.mark.parametrize(
+        "local_rows, interfaces",
+        [((20, 4, 15), None), ((6, 7, 5), None), ((2, 30), None), ((9, 8, 10, 7), GRID_2X2)],
+        ids=["tall-short-tall", "all-tall", "short-tall", "grid2x2"],
+    )
 
     def test_matches_uncompressed_equilibrated_reference(self):
         blocks, indexing = self.blocks((20, 4, 15))
@@ -584,36 +595,35 @@ class TestCompressedSystem:
         assert log.sigma_max[0] == pytest.approx(sigma[0], rel=1e-10)
         assert resid == pytest.approx(np.linalg.norm(matrix @ beta.values - rhs), rel=1e-12)
 
-    @pytest.mark.parametrize("local_rows", [(20, 4, 15), (6, 7, 5), (2, 30)])
-    def test_row_count_is_min_of_local_rows_and_M_plus_coupled_rows(self, local_rows):
-        blocks, indexing = self.blocks(local_rows)
+    @LAYOUTS
+    def test_factor_is_upper_block_triangular(self, local_rows, interfaces):
+        blocks, indexing = self.blocks(local_rows, interfaces)
         system = assemble_global(blocks, indexing)
-        # the boundary rows add 2 local rows to the first cell, 1 to the last
-        owned = list(local_rows)
-        owned[0] += 2
-        owned[-1] += 1
-        coupled = 6 * (len(local_rows) - 1)
-        assert system.matrix.shape == (sum(min(r, self.M) for r in owned) + coupled, indexing.width)
-        assert system.collocation_rows == sum(owned) + coupled
+        R = system.matrix
+        assert R.shape[0] <= indexing.width and R.shape[1] == indexing.width
+        # each row starts right of the row above, so no row reaches back
+        # into an earlier column block than its own front's
+        leading = [np.flatnonzero(row)[0] for row in R]
+        assert np.all(np.diff(leading) > 0)
 
-    def test_cell_with_fewer_rows_than_M_keeps_all_of_them(self):
-        blocks, indexing = self.blocks((20, 4, 15))
+    @LAYOUTS
+    def test_factor_keeps_normal_equations(self, local_rows, interfaces):
+        blocks, indexing = self.blocks(local_rows, interfaces)
         system = assemble_global(blocks, indexing)
-        # cell 1's 4 rows follow cell 0's 6 and keep their row-scaled Gram matrix
-        own = system.matrix[6:10]
-        assert not (own[:, indexing.col_offset(1) : indexing.col_offset(2)] == 0).all(axis=1).any()
-        np.testing.assert_array_equal(np.delete(own, np.s_[6:12], axis=1), 0.0)
-        local = blocks[1].pieces[0].values
-        scaled = local / np.linalg.norm(local, axis=1)[:, None]
-        np.testing.assert_allclose(own[:, 6:12].T @ own[:, 6:12], scaled.T @ scaled, atol=1e-14)
+        matrix, rhs = system.dense()
+        rows = np.linalg.norm(matrix, axis=1)
+        full = np.column_stack([matrix, rhs]) / rows[:, None]
+        expected = full[:, :-1].T @ full
+        got = system.matrix.T @ np.column_stack([system.matrix, system.rhs])
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_system_too_large_for_memory_refused(self, monkeypatch):
         blocks, indexing = self.blocks((20, 4, 15))
-        need = 2 * (6 + 4 + 6 + 12) * indexing.width * 8
+        need = 2 * 18 * indexing.width * 8
         monkeypatch.setattr(assembly, "_physical_memory", lambda: need)
         assemble_global(blocks, indexing)
         monkeypatch.setattr(assembly, "_physical_memory", lambda: need - 1)
-        with pytest.raises(ValueError, match=r"28 x 18 .* physical memory"):
+        with pytest.raises(ValueError, match=r"18 x 18 .* physical memory"):
             assemble_global(blocks, indexing)
 
 
